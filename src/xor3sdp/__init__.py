@@ -13,7 +13,6 @@ from .instances import (
     ValidationError,
     XOR_PLUS,
     evaluate,
-    random_baseline,
 )
 from .fourier import (
     MultilinearPoly,
@@ -38,10 +37,9 @@ from .gadget import (
     fold,
     make_label_cover,
     row_distribution,
-    uncorrelate,
 )
 from .sdp import GramFactor, QuadraticObjective, SdpConfig, cw_round, solve_relaxation
 from .pipeline import FamilySpec, PipelineConfig, PipelineReport, gap_experiment, two_round
-from .oracle import OracleResult, best_random, brute_force, exhaustive_poly_check
+from .oracle import OracleResult, brute_force, exhaustive_poly_check
 
 __version__ = "0.1.0"

@@ -89,7 +89,6 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig(
         sdp=_sdp_config(args),
         n_seeds=args.n_seeds,
-        baseline_trials=args.baseline_trials,
         oracle=args.oracle,
         seed=args.seed,
     )
@@ -101,7 +100,6 @@ def _add_sdp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sdp-tol", type=float, default=1e-9)
     p.add_argument("--trials", type=int, default=25, help="rounding trials per T grid")
     p.add_argument("--n-seeds", type=int, default=5, help="pipeline attempts, best kept")
-    p.add_argument("--baseline-trials", type=int, default=10000)
 
 
 def _gen_out_path(out: str, index: int, count: int) -> Path:
@@ -236,7 +234,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         per_edge_budget=args.budget,
         mode=args.mode,
     )
-    reports, aggregate = pipeline.gap_experiment(spec, _pipeline_config(args), jobs=args.jobs)
+    reports, aggregate = pipeline.gap_experiment(spec, _pipeline_config(args))
     rows = [
         r.to_row() if isinstance(r, pipeline.PipelineReport) else r for r in reports
     ]
@@ -317,7 +315,6 @@ def build_parser() -> Parser:
     p.add_argument("--budget", type=int, default=4096)
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report")
     p.add_argument("--csv")

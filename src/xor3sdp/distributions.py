@@ -2,7 +2,7 @@
 
 Probabilities are exact Fractions throughout; verification with tol=0 is an
 exact check. Sampling takes an explicit numpy Generator so streams are
-caller-owned and per-thread.
+caller-owned.
 
 Dump format: one `<tuple as +-+> <num>/<den>` line per positive-probability
 tuple.

@@ -129,19 +129,6 @@ def eval_poly(p: MultilinearPoly, a: Assignment) -> float:
     return float(eval_poly_exact(p, a))
 
 
-def eval_poly_values(p: MultilinearPoly, values: Mapping[Var, int]) -> Fraction:
-    """Evaluate against an explicit variable map (for derived programs)."""
-    total = Fraction(0)
-    for m, coeff in p.terms.items():
-        prod = 1
-        for v in m:
-            if v not in values:
-                raise ValidationError(f"unbound variable {v}")
-            prod *= values[v]
-        total += coeff * prod
-    return total
-
-
 def format_poly(p: MultilinearPoly) -> str:
     """Debug dump, one `coeff : vars` line per monomial, sorted."""
     lines = []

@@ -29,6 +29,7 @@ import numpy as np
 from .distributions import (
     TupleDistribution,
     GTuple,
+    _cumulative,
     ground,
     product_plus_triples,
     check_pairwise_independent,
@@ -115,15 +116,6 @@ class LabelCoverInstance:
     @property
     def right_alphabet(self) -> int:
         return self.mult * self.n_labels
-
-
-def labeling_value(
-    lc: LabelCoverInstance, labels_left: tuple[int, ...], labels_right: tuple[int, ...]
-) -> float:
-    sat = sum(
-        1 for e in lc.edges if e.proj[labels_right[e.v] - 1] == labels_left[e.u]
-    )
-    return sat / len(lc.edges)
 
 
 def make_label_cover(
@@ -293,19 +285,6 @@ def row_distribution(base: TupleDistribution, mult: int) -> TupleDistribution:
     return TupleDistribution(1 + 2 * mult, probs)
 
 
-def uncorrelate(dist: TupleDistribution) -> TupleDistribution:
-    """Replace coordinate 1 with an independent uniform +-1 draw."""
-    rest: dict[GTuple, Fraction] = {}
-    for t, p in dist.probs.items():
-        rest[t[1:]] = rest.get(t[1:], Fraction(0)) + p
-    out: dict[GTuple, Fraction] = {}
-    half = Fraction(1, 2)
-    for r, p in rest.items():
-        for g in (1, -1):
-            out[(g, *r)] = half * p
-    return TupleDistribution(dist.k, out)
-
-
 def noise_convolve(dist: TupleDistribution, noise: float) -> TupleDistribution:
     """Exact law after re-randomizing each coordinate with probability noise."""
     if not 0 <= noise < 1:
@@ -321,57 +300,6 @@ def noise_convolve(dist: TupleDistribution, noise: float) -> TupleDistribution:
             w = p * same**agree * diff ** (dist.k - agree)
             out[target] = out.get(target, Fraction(0)) + w
     return TupleDistribution(dist.k, out)
-
-
-class NoisySampler:
-    """Draws from a distribution, then re-randomizes each coordinate with
-    probability `noise`. Deterministic per seed."""
-
-    def __init__(self, dist: TupleDistribution, noise: float, seed: int):
-        if not 0 <= noise < 1:
-            raise ValidationError("noise must be in [0,1)")
-        items = dist.items()
-        self.support = np.array([t for t, _ in items], dtype=np.int8)
-        cum = np.cumsum([float(p) for _, p in items])
-        cum[-1] = 1.0
-        self.cum = cum
-        self.k = dist.k
-        self.noise = noise
-        self.rng = np.random.default_rng(seed)
-
-    def draw_many(self, n: int) -> np.ndarray:
-        idx = np.searchsorted(self.cum, self.rng.random(n), side="right")
-        out = self.support[idx].copy()
-        if self.noise > 0:
-            mask = self.rng.random(out.shape) < self.noise
-            repl = (self.rng.integers(0, 2, size=out.shape) * 2 - 1).astype(np.int8)
-            out = np.where(mask, repl, out)
-        return out
-
-    def draw(self) -> GTuple:
-        return tuple(int(v) for v in self.draw_many(1)[0])
-
-
-def apply_noise(dist: TupleDistribution, noise: float, seed: int) -> NoisySampler:
-    return NoisySampler(dist, noise, seed)
-
-
-@dataclass(frozen=True)
-class TestMatrix:
-    """Per-edge test distribution: R independent rows of `row_dist`, with
-    V-side coordinates routed through the edge projection."""
-
-    base: TupleDistribution
-    rows: int
-    mult: int
-    noise: float
-    row_dist: TupleDistribution
-
-    @classmethod
-    def build(
-        cls, base: TupleDistribution, rows: int, mult: int, noise: float = 0.0
-    ) -> "TestMatrix":
-        return cls(base, rows, mult, noise, row_distribution(base, mult))
 
 
 # -- folding --------------------------------------------------------------------
@@ -523,10 +451,8 @@ def _enumerate_edge(e, positions, support, r, lc):
 def _sample_edge(e, positions, row, noise, budget, r, lc, rng):
     d = lc.mult
     dr = lc.right_alphabet
-    items = row.items()
-    support = np.array([t for t, _ in items], dtype=np.int8)
-    cum = np.cumsum([float(p) for _, p in items])
-    cum[-1] = 1.0
+    tuples, cum = _cumulative(row)
+    support = np.array(tuples, dtype=np.int8)
     idx = np.searchsorted(cum, rng.random((budget, r)), side="right")
     rows = support[idx]  # (budget, r, 1+2d)
     if noise > 0:
@@ -546,15 +472,8 @@ def _sample_edge(e, positions, row, noise, budget, r, lc, rng):
                 w[pos] = int(tup[1 + d + j])
         lits = _lits_for_matrix(e, x, y, w, lc)
         counts[lits] = counts.get(lits, 0) + 1
-    return [(lits, c / budget) for lits, c in sorted(counts.items(), key=lambda kv: canonical_key_from_lits(kv[0]))]
-
-
-def canonical_key_from_lits(lits: tuple[Literal, Literal, Literal]) -> tuple:
-    k: list = []
-    for lit in lits:
-        k.append(lit.index)
-        k.append(0 if lit.sign > 0 else 1)
-    return tuple(k)
+    # compose sorts every constraint, so the order here does not matter
+    return [(lits, c / budget) for lits, c in counts.items()]
 
 
 def dictator_assignment(lc: LabelCoverInstance, inst: Instance) -> Assignment:

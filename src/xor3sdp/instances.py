@@ -229,16 +229,6 @@ class CompiledInstance:
         self.weights = weights
         self.total_weight = float(weights.sum())
 
-    def values_from_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Evaluate rows of a (t, n) uint8 bit matrix; returns (t,) values."""
-        code = (
-            ((bits[:, self.pos[:, 0]] ^ self.sbit[:, 0]).astype(np.int32) << 2)
-            | ((bits[:, self.pos[:, 1]] ^ self.sbit[:, 1]).astype(np.int32) << 1)
-            | (bits[:, self.pos[:, 2]] ^ self.sbit[:, 2]).astype(np.int32)
-        )
-        acc = (self.masks[None, :] >> code) & 1
-        return acc.astype(np.float64) @ self.weights / self.total_weight
-
     def values_from_indices(self, idx: np.ndarray) -> np.ndarray:
         """Evaluate assignments encoded as integers (bit v of idx = var v)."""
         total = np.zeros(idx.shape[0], dtype=np.float64)
@@ -263,23 +253,6 @@ def bits_to_assignment(bits: Sequence[int], sizes: tuple[int, int, int]) -> Assi
 def random_assignment(sizes: tuple[int, int, int], rng: np.random.Generator) -> Assignment:
     bits = rng.integers(0, 2, size=sum(sizes))
     return bits_to_assignment(bits, sizes)
-
-
-def random_baseline(inst: Instance, trials: int, seed: int) -> float:
-    """Monte Carlo mean of evaluate over uniform random assignments."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    comp = CompiledInstance(inst)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    chunk = 1 << 14
-    while done < trials:
-        t = min(chunk, trials - done)
-        bits = rng.integers(0, 2, size=(t, comp.n), dtype=np.uint8)
-        total += float(comp.values_from_bits(bits).sum())
-        done += t
-    return total / trials
 
 
 # -- text format ---------------------------------------------------------------

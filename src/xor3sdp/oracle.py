@@ -19,7 +19,7 @@ from .instances import (
 from .fourier import eval_poly_exact, predicate_fourier
 
 BRUTE_FORCE_CAP = 26
-_CHUNK_BITS = 20
+_CHUNK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,3 @@ def exhaustive_poly_check(pred: Predicate3) -> bool:
             return False
     return True
 
-
-def best_random(inst: Instance, trials: int, seed: int) -> float:
-    """Max of evaluate over `trials` uniform random assignments."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    comp = CompiledInstance(inst)
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    done = 0
-    while done < trials:
-        t = min(1 << 14, trials - done)
-        bits = rng.integers(0, 2, size=(t, comp.n), dtype=np.uint8)
-        best = max(best, float(comp.values_from_bits(bits).max()))
-        done += t
-    return best

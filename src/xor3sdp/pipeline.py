@@ -11,21 +11,19 @@ agreed with the final products is reported as a consistency diagnostic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
 from .fourier import (
     MultilinearPoly,
-    Var,
     degree_slice,
     eval_poly_exact,
     instance_objective,
     make_poly,
     mono,
 )
-from .gadget import LabelCoverInstance, compose, make_label_cover, uniform_xor_base
+from .gadget import compose, make_label_cover, uniform_xor_base
 from .instances import (
     Assignment,
     CapExceeded,
@@ -34,10 +32,16 @@ from .instances import (
     evaluate,
     generate_planted,
     generate_random,
-    random_baseline,
 )
 from .oracle import BRUTE_FORCE_CAP, brute_force
-from .sdp import SdpConfig, cw_round, from_bilinear_poly, relaxation_value, solve_relaxation
+from .sdp import (
+    SdpConfig,
+    cw_round,
+    from_bilinear_poly,
+    relaxation_value,
+    solve_relaxation,
+    variable_order,
+)
 
 PAIR_BLOCK = 23  # block id for pairing variables in derived programs
 
@@ -46,10 +50,6 @@ PAIR_BLOCK = 23  # block id for pairing variables in derived programs
 class BilinearizedProgram:
     quad: MultilinearPoly  # degree-2 poly over block 1 and PAIR_BLOCK
     pair_vars: dict[int, tuple[int, int]]  # pairing index -> (i2, i3)
-
-    @property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in self.pair_vars.items()}
 
 
 def bilinearize(cubic: MultilinearPoly) -> BilinearizedProgram:
@@ -94,7 +94,6 @@ def condition(cubic: MultilinearPoly, block1_values: Mapping[int, int]) -> Multi
 class PipelineConfig:
     sdp: SdpConfig = field(default_factory=SdpConfig)
     n_seeds: int = 5  # rounding/solve attempts, best final value wins
-    baseline_trials: int = 10000
     oracle: bool = False
     seed: int = 0
 
@@ -142,24 +141,16 @@ class PipelineReport:
         }
 
 
-def _is_pure_xor(obj: MultilinearPoly) -> bool:
-    return (
-        obj.coeff(()) == Fraction(1, 2)
-        and degree_slice(obj, 1).is_zero()
-        and degree_slice(obj, 2).is_zero()
-    )
-
-
 def _run_once(
     inst: Instance,
-    obj: MultilinearPoly,
+    low: MultilinearPoly,
     cubic: MultilinearPoly,
     bp: BilinearizedProgram,
     cfg: PipelineConfig,
     seed: int,
 ) -> tuple[Assignment, float, float, float, float | None, float]:
     sdp_cfg = replace(cfg.sdp, seed=seed)
-    order = {v: i for i, v in enumerate(sorted(bp.quad.variables()))}
+    order = variable_order(bp.quad)
     q1 = from_bilinear_poly(bp.quad, order)
     g1 = solve_relaxation(q1, sdp_cfg)
     sdp1 = relaxation_value(g1, q1)
@@ -171,7 +162,7 @@ def _run_once(
     f1 = {i: block1_values.get(i, 1) for i in range(1, m1 + 1)}
     cond = condition(cubic, f1)
     sdp_cfg2 = replace(cfg.sdp, seed=seed + 1)
-    order2 = {v: i for i, v in enumerate(sorted(cond.variables()))}
+    order2 = variable_order(cond)
     q2 = from_bilinear_poly(cond, order2)
     g2 = solve_relaxation(q2, sdp_cfg2)
     sdp2 = relaxation_value(g2, q2)
@@ -185,13 +176,13 @@ def _run_once(
         tuple(f3[i] for i in range(1, inst.sizes[2] + 1)),
     )
     final = evaluate(inst, assignment)
-    if _is_pure_xor(obj):
-        # degrees 0-2 are (1/2, 0, 0), so the full value must be 1/2 plus the
-        # achieved conditioned-quadratic value
-        if abs(final - (0.5 + achieved2)) > 1e-9:
-            raise AssertionError(
-                f"cross-check failed: final {final} != 0.5 + achieved {achieved2}"
-            )
+    # the cubic slice at the assignment is the conditioned quadratic at its
+    # blocks 2 and 3, so the full value is the degree<=2 part plus achieved2
+    expected = float(eval_poly_exact(low, assignment)) + achieved2
+    if abs(final - expected) > 1e-9:
+        raise AssertionError(
+            f"cross-check failed: final {final} != degree<=2 part + achieved = {expected}"
+        )
     consistency = None
     if bp.pair_vars:
         agree = sum(
@@ -211,7 +202,8 @@ def two_round(
     start = time.perf_counter()
     obj = instance_objective(inst)
     cubic = degree_slice(obj, 3)
-    baseline = random_baseline(inst, cfg.baseline_trials, cfg.seed)
+    # E[value] under a uniform assignment: every non-constant character averages to 0
+    baseline = float(obj.coeff(()))
     opt = None
     cubic_at_opt = None
     if cfg.oracle:
@@ -243,12 +235,13 @@ def two_round(
             cubic_at_opt=cubic_at_opt,
         )
         return assignment, report
+    low = MultilinearPoly({m: c for m, c in obj.terms.items() if len(m) < 3})
     bp = bilinearize(cubic)
     best = None
     finals = []
     for k in range(cfg.n_seeds):
         run_seed = cfg.seed * 1000 + 2 * k
-        result = _run_once(inst, obj, cubic, bp, cfg, run_seed)
+        result = _run_once(inst, low, cubic, bp, cfg, run_seed)
         finals.append(result[1])
         if best is None or result[1] > best[0][1]:
             best = (result, run_seed)
@@ -325,7 +318,7 @@ def build_instance(spec: FamilySpec, index: int, seed: int) -> Instance:
 
 
 def gap_experiment(
-    spec: FamilySpec, cfg: PipelineConfig, jobs: int = 1
+    spec: FamilySpec, cfg: PipelineConfig
 ) -> tuple[list[PipelineReport | dict], dict]:
     """Per-instance pipeline reports plus aggregate means.
 
@@ -342,11 +335,7 @@ def gap_experiment(
         except (CapExceeded, ValidationError) as e:
             return {"id": inst_id, "error": str(e)}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, range(spec.count)))
-    else:
-        rows = [run(i) for i in range(spec.count)]
+    rows = [run(i) for i in range(spec.count)]
     good = [r for r in rows if isinstance(r, PipelineReport)]
     aggregate = {
         "count": len(rows),

@@ -1,0 +1,90 @@
+import csv
+import json
+
+import pytest
+
+from xor3sdp import cli, sdp
+
+FAST = ["--sweeps", "20", "--n-seeds", "1", "--trials", "3"]
+
+
+def gen(tmp_path, name="a.mx3", sizes=("3", "3", "3"), constraints="12"):
+    out = tmp_path / name
+    code = cli.main(
+        ["gen", "--family", "planted", "--sizes", *sizes, "--constraints", constraints,
+         "--seed", "1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    return str(out)
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestExitCodes:
+    def test_gen_solve_experiment_ok(self, tmp_path, capsys):
+        path = gen(tmp_path)
+        report = tmp_path / "solve.jsonl"
+        assert cli.main(["solve", path, "--seed", "1", "--oracle", "--report", str(report), *FAST]) == 0
+        config, row = read_jsonl(report)
+        assert config["config"]["command"] == "solve"
+        assert row["id"] == "a" and row["final"] <= row["opt"] + 1e-9
+        assert cli.main(
+            ["experiment", "--family", "planted", "--count", "2", "--sizes", "3", "3", "3",
+             "--constraints", "12", "--seed", "1", "--report", str(tmp_path / "e.jsonl"), *FAST]
+        ) == 0
+
+    @pytest.mark.parametrize(
+        "extra", [["--bogus"], ["--jobs", "2"], ["--baseline-trials", "100"]]
+    )
+    def test_unknown_flag_is_usage_error(self, extra, capsys):
+        code = cli.main(["experiment", "--family", "planted", "--seed", "1", *extra])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_brute_over_cap(self, tmp_path, capsys):
+        path = gen(tmp_path, sizes=("9", "9", "9"), constraints="20")
+        assert cli.main(["brute", path]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["solve", "brute"])
+    def test_missing_file(self, tmp_path, command, capsys):
+        args = [command, str(tmp_path / "missing.mx3")]
+        if command == "solve":
+            args += ["--seed", "1"]
+        assert cli.main(args) == cli.EXIT_VALIDATION
+
+    def test_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        path = gen(tmp_path)
+
+        def fail(q, cfg):
+            raise sdp.NumericalError("relaxation value is not finite")
+
+        monkeypatch.setattr("xor3sdp.pipeline.solve_relaxation", fail)
+        assert cli.main(["solve", path, "--seed", "1", *FAST]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+
+class TestReport:
+    def test_jsonl_schema_matches_csv(self, tmp_path, capsys):
+        report, table = tmp_path / "e.jsonl", tmp_path / "e.csv"
+        code = cli.main(
+            ["experiment", "--family", "planted", "--count", "2", "--sizes", "3", "3", "3",
+             "--constraints", "12", "--seed", "2", "--oracle", "--report", str(report),
+             "--csv", str(table), *FAST]
+        )
+        assert code == cli.EXIT_OK
+        lines = read_jsonl(report)
+        assert list(lines[0]) == ["config"]
+        assert lines[0]["config"]["command"] == "experiment"
+        assert list(lines[-1]) == ["aggregate"]
+        assert lines[-1]["aggregate"]["count"] == 2
+        rows = lines[1:-1]
+        with open(table, encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f)
+            columns = reader.fieldnames
+            csv_rows = list(reader)
+        assert len(rows) == len(csv_rows) == 2
+        for row in rows:
+            assert set(row) == set(columns)
+        assert [r["id"] for r in csv_rows] == [r["id"] for r in rows]

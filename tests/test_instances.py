@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +15,6 @@ from xor3sdp.instances import (
     XOR_PLUS_MASK,
     evaluate,
     parse,
-    random_baseline,
     serialize,
 )
 
@@ -102,47 +99,6 @@ class TestEvaluate:
         for _ in range(5):
             a = random_assignment_for(inst.sizes, rng)
             assert abs(evaluate(inst, a) - eval_poly(poly, a)) <= 1e-9
-
-
-class TestRandomBaseline:
-    def test_xor_near_half(self):
-        rng = np.random.default_rng(5)
-        inst = random_instance(rng, sizes=(4, 4, 4), n_cons=24)
-        assert abs(random_baseline(inst, 10**5, seed=1) - 0.5) <= 0.01
-
-    def test_full_predicate_exactly_one(self):
-        inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, pred=Predicate3(255)),))
-        assert random_baseline(inst, 1000, seed=2) == 1.0
-
-    def test_single_tuple_eighth(self):
-        pred = Predicate3.from_tuples([(1, 1, 1)])
-        inst = Instance((2, 2, 2), (make_constraint(1, 2, 1, pred=pred),))
-        assert abs(random_baseline(inst, 10**5, seed=3) - 0.125) <= 0.01
-
-    @pytest.mark.parametrize("mask,rho", [(XOR_PLUS_MASK, 0.5), (1, 0.125)])
-    def test_concentration(self, mask, rho):
-        # |mean - rho| <= 4*sqrt(rho(1-rho)/trials) in >= 99% of seeded runs
-        pred = Predicate3(mask)
-        inst = Instance(
-            (3, 3, 3),
-            tuple(make_constraint(1 + i % 3, 1 + (i // 3) % 3, 1 + i % 2, pred=pred) for i in range(9)),
-        )
-        trials = 2000
-        bound = 4 * math.sqrt(rho * (1 - rho) / trials)
-        failures = sum(
-            1
-            for seed in range(100)
-            if abs(random_baseline(inst, trials, seed) - rho) > bound
-        )
-        assert failures <= 1
-
-    def test_deterministic_given_seed(self, rng):
-        inst = random_instance(rng)
-        assert random_baseline(inst, 500, seed=9) == random_baseline(inst, 500, seed=9)
-
-    def test_trials_validation(self, rng):
-        with pytest.raises(ValidationError):
-            random_baseline(random_instance(rng), 0, seed=1)
 
 
 class TestTextFormat:

@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from xor3sdp.fourier import eval_poly_exact, make_poly, predicate_fourier
@@ -13,9 +12,10 @@ from xor3sdp.instances import (
     Predicate3,
     evaluate,
     generate_random,
-    random_baseline,
 )
-from xor3sdp.oracle import best_random, brute_force, exhaustive_poly_check
+from xor3sdp import oracle
+from xor3sdp.fourier import instance_objective
+from xor3sdp.oracle import brute_force, exhaustive_poly_check
 
 from conftest import make_constraint, random_assignment_for, random_instance
 
@@ -41,7 +41,8 @@ class TestBruteForce:
     def test_random_beats_baseline_mean(self):
         inst = generate_random((4, 4, 4), 24, seed=3)
         res = brute_force(inst)
-        assert res.optimum >= random_baseline(inst, 10**4, seed=1)
+        # the mean over uniform assignments is the Walsh constant term
+        assert res.optimum >= float(instance_objective(inst).coeff(()))
 
     def test_dominates_random_assignments(self, rng):
         inst = random_instance(rng, sizes=(3, 3, 3), n_cons=15, any_pred=True)
@@ -88,10 +89,22 @@ class TestBruteForce:
         assert abs(brute_force(inst).optimum - brute_force(flipped).optimum) <= 1e-12
 
     def test_crosses_chunk_boundaries(self):
-        # >2^20 states exercises the chunked path
+        # 2^21 states span many chunks of 2^_CHUNK_BITS
         inst = generate_random((7, 7, 7), 30, seed=5)
         res = brute_force(inst)
         assert evaluate(inst, res.assignment) == pytest.approx(res.optimum, abs=1e-12)
+
+    @pytest.mark.parametrize("any_pred", [False, True])
+    def test_chunk_size_does_not_change_result(self, rng, monkeypatch, any_pred):
+        inst = random_instance(rng, sizes=(4, 4, 4), n_cons=20, any_pred=any_pred)
+        want = brute_force(inst)
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
+        got = brute_force(inst)
+        assert (got.optimum, got.count, got.assignment) == (
+            want.optimum,
+            want.count,
+            want.assignment,
+        )
 
 
 class TestExhaustivePolyCheck:
@@ -114,23 +127,3 @@ class TestExhaustivePolyCheck:
                 bad = True
         assert bad
 
-
-class TestBestRandom:
-    def test_single_trial_is_one_evaluate(self, rng):
-        inst = random_instance(rng)
-        seed = 77
-        got = best_random(inst, 1, seed)
-        sample_rng = np.random.default_rng(seed)
-        bits = sample_rng.integers(0, 2, size=(1, inst.n_vars), dtype=np.uint8)
-        from xor3sdp.instances import bits_to_assignment
-
-        want = evaluate(inst, bits_to_assignment(bits[0], inst.sizes))
-        assert got == want
-
-    def test_monotone_in_trials(self, rng):
-        inst = random_instance(rng)
-        assert best_random(inst, 50, 3) <= best_random(inst, 500, 3)
-
-    def test_bounded_by_optimum(self):
-        inst = generate_random((4, 4, 4), 24, seed=9)
-        assert best_random(inst, 10**4, seed=2) <= brute_force(inst).optimum + 1e-12
