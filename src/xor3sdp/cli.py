@@ -75,6 +75,13 @@ def _emit_csv(rows: list[dict], path: str) -> None:
             w.writerow(r)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _sdp_config(args: argparse.Namespace) -> sdp.SdpConfig:
     return sdp.SdpConfig(
         rank=args.rank,
@@ -158,7 +165,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_verify_dist(args: argparse.Namespace) -> int:
     dist = distributions.parse_distribution(Path(args.file).read_text(encoding="utf-8"))
-    bias = Fraction(args.bias)
+    bias = args.bias
     out = sys.stdout
     out.write(f"arity {dist.k}, support size {len(distributions.ground(dist))}\n")
     out.write("ground:\n")
@@ -172,7 +179,7 @@ def cmd_verify_dist(args: argparse.Namespace) -> int:
     for i in range(1, dist.k + 1):
         for j in range(i + 1, dist.k + 1):
             out.write(f"  i={i} j={j}: {distributions.pair_prob_one(dist, i, j)}\n")
-    check = distributions.check_pairwise_independent(dist, bias, Fraction(args.tol))
+    check = distributions.check_pairwise_independent(dist, bias, args.tol)
     if check.holds:
         out.write(f"pairwise independent at bias {bias}: holds\n")
     else:
@@ -277,8 +284,8 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify-dist", help="check a distribution file")
     p.add_argument("file")
-    p.add_argument("--bias", default="1/2", help="target marginal, e.g. 1/2")
-    p.add_argument("--tol", default="0", help="tolerance (exact by default)")
+    p.add_argument("--bias", type=_fraction, default="1/2", help="target marginal, e.g. 1/2")
+    p.add_argument("--tol", type=_fraction, default="0", help="tolerance (exact by default)")
     p.set_defaults(func=cmd_verify_dist)
 
     p = sub.add_parser("fourier", help="dump an instance's objective polynomial")

@@ -19,6 +19,7 @@ Predicate id 0 is predefined: triples whose coordinate product is +1
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -115,8 +116,8 @@ class Constraint:
                 raise ValidationError(
                     f"constraint literal in slot {slot} has block {lit.block}"
                 )
-        if not self.weight >= 0:
-            raise ValidationError(f"constraint weight {self.weight} must be >= 0")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValidationError(f"constraint weight {self.weight} must be finite and >= 0")
 
 
 def canonical_key(c: Constraint) -> tuple:
@@ -144,8 +145,9 @@ class Instance:
                         f"literal index {lit.index} exceeds block-{lit.block} "
                         f"size {self.sizes[lit.block - 1]}"
                     )
-        if not self.total_weight > 0:
-            raise ValidationError("W must be positive")
+        w = self.total_weight
+        if not (math.isfinite(w) and w > 0):
+            raise ValidationError(f"W = {w} must be finite and positive")
 
     @property
     def total_weight(self) -> float:

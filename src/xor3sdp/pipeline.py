@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .fourier import (
     MultilinearPoly,
+    Var,
     degree_slice,
     eval_poly_exact,
     instance_objective,
@@ -35,6 +36,7 @@ from .instances import (
 )
 from .oracle import BRUTE_FORCE_CAP, brute_force
 from .sdp import (
+    QuadraticObjective,
     SdpConfig,
     cw_round,
     from_bilinear_poly,
@@ -141,40 +143,38 @@ class PipelineReport:
         }
 
 
+def _block_signs(
+    signs: list[int], order: Mapping[Var, int], block: int, size: int
+) -> tuple[int, ...]:
+    """One block's rounded signs; a variable the program lacks gets +1."""
+    return tuple(signs[order[(block, i)]] if (block, i) in order else 1 for i in range(1, size + 1))
+
+
 def _run_once(
     inst: Instance,
     low: MultilinearPoly,
     cubic: MultilinearPoly,
     bp: BilinearizedProgram,
+    order: Mapping[Var, int],
+    q1: QuadraticObjective,
     cfg: PipelineConfig,
     seed: int,
 ) -> tuple[Assignment, float, float, float, float | None, float]:
     sdp_cfg = replace(cfg.sdp, seed=seed)
-    order = variable_order(bp.quad)
-    q1 = from_bilinear_poly(bp.quad, order)
     g1 = solve_relaxation(q1, sdp_cfg)
     sdp1 = relaxation_value(g1, q1)
     signs1, _ = cw_round(g1, q1, sdp_cfg)
-    block1_values = {
-        idx: signs1[order[(1, idx)]] for (b, idx) in order if b == 1
-    }
-    m1 = inst.sizes[0]
-    f1 = {i: block1_values.get(i, 1) for i in range(1, m1 + 1)}
-    cond = condition(cubic, f1)
+    f1 = _block_signs(signs1, order, 1, inst.sizes[0])
+    cond = condition(cubic, dict(enumerate(f1, start=1)))
     sdp_cfg2 = replace(cfg.sdp, seed=seed + 1)
     order2 = variable_order(cond)
     q2 = from_bilinear_poly(cond, order2)
     g2 = solve_relaxation(q2, sdp_cfg2)
     sdp2 = relaxation_value(g2, q2)
     signs2, achieved2 = cw_round(g2, q2, sdp_cfg2)
-    vals2 = {v: signs2[i] for v, i in order2.items()}
-    f2 = {i: vals2.get((2, i), 1) for i in range(1, inst.sizes[1] + 1)}
-    f3 = {i: vals2.get((3, i), 1) for i in range(1, inst.sizes[2] + 1)}
-    assignment = Assignment(
-        tuple(f1[i] for i in range(1, m1 + 1)),
-        tuple(f2[i] for i in range(1, inst.sizes[1] + 1)),
-        tuple(f3[i] for i in range(1, inst.sizes[2] + 1)),
-    )
+    f2 = _block_signs(signs2, order2, 2, inst.sizes[1])
+    f3 = _block_signs(signs2, order2, 3, inst.sizes[2])
+    assignment = Assignment(f1, f2, f3)
     final = evaluate(inst, assignment)
     # the cubic slice at the assignment is the conditioned quadratic at its
     # blocks 2 and 3, so the full value is the degree<=2 part plus achieved2
@@ -186,12 +186,11 @@ def _run_once(
     consistency = None
     if bp.pair_vars:
         agree = sum(
-            1
+            signs1[order[(PAIR_BLOCK, pair_idx)]] == f2[i2 - 1] * f3[i3 - 1]
             for pair_idx, (i2, i3) in bp.pair_vars.items()
-            if signs1[order[(PAIR_BLOCK, pair_idx)]] == f2[i2] * f3[i3]
         )
         consistency = agree / len(bp.pair_vars)
-    f1_plus = sum(1 for v in f1.values() if v == 1) / max(len(f1), 1)
+    f1_plus = f1.count(1) / len(f1)
     return assignment, final, sdp1, sdp2, consistency, f1_plus
 
 
@@ -237,11 +236,13 @@ def two_round(
         return assignment, report
     low = MultilinearPoly({m: c for m, c in obj.terms.items() if len(m) < 3})
     bp = bilinearize(cubic)
+    order = variable_order(bp.quad)
+    q1 = from_bilinear_poly(bp.quad, order)
     best = None
     finals = []
     for k in range(cfg.n_seeds):
         run_seed = cfg.seed * 1000 + 2 * k
-        result = _run_once(inst, low, cubic, bp, cfg, run_seed)
+        result = _run_once(inst, low, cubic, bp, order, q1, cfg, run_seed)
         finals.append(result[1])
         if best is None or result[1] > best[0][1]:
             best = (result, run_seed)

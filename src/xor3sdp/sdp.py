@@ -1,22 +1,27 @@
-"""Quadratic-program relaxation and Gaussian-projection rounding.
+"""Bipartite quadratic-program relaxation and Gaussian-projection rounding.
 
-The relaxation max sum a_ij <v_i, v_j> over unit vectors is solved by
-block-coordinate ascent on a low-rank factor (each vector is repeatedly set
-to the normalized weighted sum of its neighbors). Rounding projects the
-vectors onto a random Gaussian direction, truncates at a threshold T swept
-over a grid (T=0 meaning pure sign rounding), and keeps the best sampled
-sign vector by exact objective value.
+Both programs the pipeline builds pair a left side with a right side (block 1
+with the pairing variables, then block 2 with block 3), so the form is
+x_L^T A x_R for one (n_left, n_right) matrix A. The relaxation max of
+sum A_ij <u_i, w_j> over unit vectors is solved by ascent on a low-rank
+factor: each sweep sets every left vector to its normalized row of A W, then
+every right vector to its normalized row of A^T U. No vector on a side enters
+another's update, so this is exact per-vertex coordinate ascent (the Mixing
+method of Wang, Chang and Kolter). Rounding projects the vectors onto a
+random Gaussian direction, truncates at a threshold T swept over a grid (T=0
+meaning pure sign rounding), and keeps the best sampled sign vector by exact
+objective value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fourier import Monomial, MultilinearPoly, Var, make_poly
+from .fourier import MultilinearPoly, Var
 from .instances import ValidationError
 
 DEFAULT_T_GRID = (0.0, 0.5, 1.0, math.sqrt(2.0 * math.log(4.0)), 2.0)
@@ -26,20 +31,31 @@ class NumericalError(RuntimeError):
     """The solver produced non-finite values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticObjective:
-    """Sparse symmetric off-diagonal form: sum over i<j of a_ij x_i x_j."""
+    """Bipartite form x_L^T a x_R over n = n_left + n_right variables.
 
-    n: int
-    entries: dict[tuple[int, int], float]
+    Variables 0..n_left-1 are the left side (the rows of `a`), the rest the
+    right side (its columns).
+    """
 
-    def __post_init__(self) -> None:
-        for (i, j), _ in self.entries.items():
-            if not (0 <= i < j < self.n):
-                raise ValidationError(f"entry key ({i},{j}) must satisfy 0 <= i < j < n")
+    a: np.ndarray  # (n_left, n_right)
+
+    @property
+    def n_left(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0] + self.a.shape[1]
 
     def value(self, signs: Sequence[int]) -> float:
-        return float(sum(a * signs[i] * signs[j] for (i, j), a in self.entries.items()))
+        return float(_form(self, np.asarray(signs, dtype=np.float64)))
+
+
+def _form(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
+    """The form at each row of x (shape (..., n)); a 1-D x gives a scalar."""
+    return ((x[..., : q.n_left] @ q.a) * x[..., q.n_left :]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,8 @@ class SdpConfig:
     def __post_init__(self) -> None:
         if self.rank is not None and self.rank < 2:
             raise ValidationError("rank must be >= 2")
+        if self.max_sweeps < 0:
+            raise ValidationError("max_sweeps must be >= 0")
         if not self.tol > 0:
             raise ValidationError("tol must be > 0")
         if self.trials < 1:
@@ -77,64 +95,53 @@ def default_rank(n: int) -> int:
 
 def relaxation_value(g: GramFactor, q: QuadraticObjective) -> float:
     if g.vectors.shape[0] != q.n:
-        raise ValidationError(
-            f"factor has {g.vectors.shape[0]} vectors, objective has {q.n} variables"
-        )
-    total = 0.0
-    for (i, j), a in q.entries.items():
-        total += a * float(g.vectors[i] @ g.vectors[j])
-    return total
+        raise ValidationError(f"factor has {len(g.vectors)} vectors, objective has {q.n} variables")
+    return float(_form(q, g.vectors.T).sum())
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return v / norms
+def _set_side(side: np.ndarray, target: np.ndarray) -> None:
+    """Set each row of `side` to its normalized target row, in place; a row
+    whose target vanishes (a variable with no weight) keeps its vector."""
+    norms = np.linalg.norm(target, axis=1)
+    live = norms > 1e-300
+    side[live] = target[live] / norms[live, None]
 
 
-def _ascend(q: QuadraticObjective, rank: int, cfg: SdpConfig, rng: np.random.Generator):
-    n = q.n
-    v = _normalize_rows(rng.standard_normal((n, rank)))
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), a in q.entries.items():
-        neighbors[i].append((j, a))
-        neighbors[j].append((i, a))
+def _random_factor(n: int, rank: int, seed: int, run: int) -> np.ndarray:
+    v = np.random.default_rng([seed, 0, run]).standard_normal((n, rank))
+    _set_side(v, v)
+    return v
+
+
+def _ascend(q: QuadraticObjective, v: np.ndarray, cfg: SdpConfig) -> list[float]:
+    """Sweep `v` in place until the gain is within tol; the value after each sweep."""
+    rank = v.shape[1]
+    left, right = v[: q.n_left], v[q.n_left :]  # views into v
     values = [relaxation_value(GramFactor(rank, v), q)]
     for _ in range(cfg.max_sweeps):
-        for i in range(n):
-            if not neighbors[i]:
-                continue
-            s = np.zeros(rank)
-            for j, a in neighbors[i]:
-                s += a * v[j]
-            norm = float(np.linalg.norm(s))
-            if norm > 1e-300:
-                v[i] = s / norm
+        _set_side(left, q.a @ right)
+        _set_side(right, q.a.T @ left)
         val = relaxation_value(GramFactor(rank, v), q)
         if not math.isfinite(val):
             raise NumericalError("relaxation value is not finite")
         if val < values[-1] - 1e-12:
-            raise NumericalError(
-                f"ascent lost monotonicity: {values[-1]} -> {val}"
-            )
+            raise NumericalError(f"ascent lost monotonicity: {values[-1]} -> {val}")
         values.append(val)
         if val - values[-2] <= cfg.tol * max(1.0, abs(val)):
             break
-    return v, values
+    return values
 
 
 def solve_relaxation(q: QuadraticObjective, cfg: SdpConfig) -> GramFactor:
     """Best factor over `cfg.restarts` seeded ascent runs."""
-    if q.n == 0 or not q.entries or all(a == 0 for a in q.entries.values()):
-        rank = cfg.rank or default_rank(max(q.n, 2))
-        rng = np.random.default_rng([cfg.seed, 0, 0])
-        v = _normalize_rows(rng.standard_normal((max(q.n, 0), rank)))
-        return GramFactor(rank, v, degenerate=True, sweep_values=(0.0,))
     rank = cfg.rank or default_rank(q.n)
+    if not q.a.any():
+        v = _random_factor(q.n, rank, cfg.seed, 0)
+        return GramFactor(rank, v, degenerate=True, sweep_values=(0.0,))
     best: GramFactor | None = None
     for run in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, 0, run])
-        v, values = _ascend(q, rank, cfg, rng)
+        v = _random_factor(q.n, rank, cfg.seed, run)
+        values = _ascend(q, v, cfg)
         if best is None or values[-1] > best.sweep_values[-1]:
             best = GramFactor(rank, v, sweep_values=tuple(values))
     assert best is not None
@@ -148,63 +155,44 @@ def cw_round(
 
     Each trial draws one Gaussian direction and sweeps the truncation grid;
     T=0 is the pure sign-of-projection candidate, so it is always sampled.
-    Ties keep the earliest (trial, grid) candidate.
+    Ties keep the earliest (trial, grid) candidate within 1e-12 of the best.
     """
-    n = q.n
-    if n == 0:
-        return [], 0.0
-    ii = np.array([i for (i, _) in q.entries], dtype=np.int64)
-    jj = np.array([j for (_, j) in q.entries], dtype=np.int64)
-    aa = np.array(list(q.entries.values()), dtype=np.float64)
-    best_signs: np.ndarray | None = None
-    best_val = -math.inf
+    candidates = []
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, 1, trial])
-        gamma = rng.standard_normal(g.rank)
-        u = g.vectors @ gamma
+        u = g.vectors @ rng.standard_normal(g.rank)
         for t in cfg.t_grid:
-            if t == 0:
-                y = np.where(u >= 0, 1.0, -1.0)
-            else:
-                y = np.clip(u / t, -1.0, 1.0)
-            x = np.where(rng.random(n) < (1.0 + y) / 2.0, 1, -1).astype(np.int64)
-            val = float(aa @ (x[ii] * x[jj])) if len(aa) else 0.0
-            if val > best_val:
-                best_val = val
-                best_signs = x
-    assert best_signs is not None
-    return [int(s) for s in best_signs], best_val
+            y = np.where(u >= 0, 1.0, -1.0) if t == 0 else np.clip(u / t, -1.0, 1.0)
+            candidates.append(np.where(rng.random(q.n) < (1.0 + y) / 2.0, 1.0, -1.0))
+    x = np.array(candidates)
+    vals = _form(q, x)
+    best = int(np.argmax(vals >= vals.max() - 1e-12))
+    return [int(s) for s in x[best]], float(vals[best])
 
 
 def from_bilinear_poly(
     p: MultilinearPoly, var_index: Mapping[Var, int]
 ) -> QuadraticObjective:
-    """Flatten a degree-2 polynomial through the given variable->index map."""
-    entries: dict[tuple[int, int], float] = {}
+    """Flatten a degree-2 polynomial through the given variable->index map.
+
+    Each monomial's lower index is a row and its higher index a column: the
+    left side ends at the highest lower index, and no higher index may be in it.
+    """
+    terms = []
     for m, coeff in p.terms.items():
         if len(m) != 2:
             raise ValidationError(f"monomial {m} has degree {len(m)}, expected 2")
         i, j = sorted(var_index[v] for v in m)
-        if i == j:
-            raise ValidationError(f"monomial {m} maps to a diagonal entry")
-        entries[(i, j)] = entries.get((i, j), 0.0) + float(coeff)
+        terms.append((m, i, j, float(coeff)))
     n = (max(var_index.values()) + 1) if var_index else 0
-    return QuadraticObjective(n, entries)
+    n_left = max((i for _, i, _, _ in terms), default=-1) + 1
+    a = np.zeros((n_left, n - n_left))
+    for m, i, j, coeff in terms:
+        if j < n_left:
+            raise ValidationError(f"monomial {m} has both indices in the {n_left} left variables")
+        a[i, j - n_left] += coeff
+    return QuadraticObjective(a)
 
 
 def variable_order(p: MultilinearPoly) -> dict[Var, int]:
     return {v: i for i, v in enumerate(sorted(p.variables()))}
-
-
-def to_bilinear_poly(
-    q: QuadraticObjective, var_index: Mapping[Var, int]
-) -> MultilinearPoly:
-    """Inverse of from_bilinear_poly (coefficients become floats)."""
-    from fractions import Fraction
-
-    inverse = {i: v for v, i in var_index.items()}
-    terms: dict[Monomial, Fraction] = {}
-    for (i, j), a in q.entries.items():
-        m = tuple(sorted((inverse[i], inverse[j])))
-        terms[m] = Fraction(a)
-    return make_poly(terms)

@@ -43,6 +43,34 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--bias", "abc"], ["--bias", "1/0"], ["--tol", "xyz"]]
+    )
+    def test_bad_fraction_is_usage_error(self, tmp_path, extra, capsys):
+        code = cli.main(["verify-dist", str(tmp_path / "d.dist"), *extra])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_negative_sweeps(self, tmp_path, command, capsys):
+        args = ["--seed", "1", "--sweeps", "-3"]
+        if command == "solve":
+            args = [gen(tmp_path), *args]
+        else:
+            args = ["--family", "planted", "--count", "1", *args]
+        assert cli.main([command, *args]) == cli.EXIT_VALIDATION
+        assert "max_sweeps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [["inf"], ["1e308", "1e308"]])
+    @pytest.mark.parametrize("command", ["solve", "brute", "fourier"])
+    def test_non_finite_weight(self, tmp_path, command, weights, capsys):
+        path = tmp_path / "w.mx3"
+        lines = [f"{w} 1 1 {1 + k} 0" for k, w in enumerate(weights)]
+        path.write_text(f"p mx3 1 1 2 {len(lines)}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        args = [command, str(path)] + (["--seed", "1"] if command == "solve" else [])
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
     def test_brute_over_cap(self, tmp_path, capsys):
         path = gen(tmp_path, sizes=("9", "9", "9"), constraints="20")
         assert cli.main(["brute", path]) == cli.EXIT_VALIDATION

@@ -163,3 +163,27 @@ class TestTextFormat:
         t1 = serialize(Instance((2, 1, 1), (a, b)))
         t2 = serialize(Instance((2, 1, 1), (b, a)))
         assert t1 == t2
+
+
+class TestFiniteWeights:
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan"), -1.0])
+    def test_constraint_rejects(self, weight):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            make_constraint(1, 1, 1, weight=weight)
+
+    def test_total_weight_must_be_finite(self):
+        cons = (make_constraint(1, 1, 1, weight=1e308), make_constraint(1, 1, 1, weight=1e308))
+        with pytest.raises(ValidationError, match="finite and positive"):
+            Instance((1, 1, 1), cons)
+
+    def test_largest_finite_total_accepted(self):
+        inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, weight=1e308),))
+        assert evaluate(inst, Assignment((1,), (1,), (1,))) == 1.0
+
+    @pytest.mark.parametrize(
+        "lines", [["inf 1 1 1 0"], ["nan 1 1 1 0"], ["1e308 1 1 1 0", "1e308 1 1 -1 0"]]
+    )
+    def test_parse_rejects(self, lines):
+        text = f"p mx3 1 1 1 {len(lines)}\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ValidationError):
+            parse(text)

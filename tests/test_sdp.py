@@ -15,105 +15,192 @@ from xor3sdp.sdp import (
     from_bilinear_poly,
     relaxation_value,
     solve_relaxation,
-    to_bilinear_poly,
     variable_order,
 )
 
 
+def pairs(q: QuadraticObjective) -> dict[tuple[int, int], float]:
+    """The nonzero terms as {(i, j): a_ij} over global indices, i left, j right."""
+    return {(i, q.n_left + j): float(a) for (i, j), a in np.ndenumerate(q.a) if a != 0}
+
+
 def exhaustive_pm1_max(q: QuadraticObjective) -> float:
     """Independent oracle: enumerate all sign vectors with numpy bit tricks."""
-    n = q.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    total = np.zeros(1 << n, dtype=np.float64)
-    for (i, j), a in q.entries.items():
-        bi = (idx >> i) & 1
-        bj = (idx >> j) & 1
-        total += a * (1 - 2 * (bi ^ bj))
+    idx = np.arange(1 << q.n, dtype=np.int64)
+    total = np.zeros(1 << q.n, dtype=np.float64)
+    for (i, j), a in pairs(q).items():
+        total += a * (1 - 2 * (((idx >> i) & 1) ^ ((idx >> j) & 1)))
     return float(total.max())
 
 
-def random_objective(rng, n, density=0.35):
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                entries[(i, j)] = float(rng.normal())
-    if not entries:
-        entries[(0, 1)] = 1.0
-    return QuadraticObjective(n, entries)
+def random_objective(rng, n_left, n_right, density=0.5):
+    a = rng.normal(size=(n_left, n_right)) * (rng.random((n_left, n_right)) < density)
+    if not a.any():
+        a[0, 0] = 1.0
+    return QuadraticObjective(a)
+
+
+def pair_objective(a: float) -> QuadraticObjective:
+    return QuadraticObjective(np.array([[a]]))
+
+
+def gauss_seidel_reference(q: QuadraticObjective, rank: int, cfg: SdpConfig, seed: int):
+    """The per-vertex ascent the side-at-a-time update replaces: each vector in
+    turn becomes the normalized weighted sum of its neighbours' vectors."""
+    entries = pairs(q)
+
+    def value(v):
+        return sum(a * float(v[i] @ v[j]) for (i, j), a in entries.items())
+
+    rng = np.random.default_rng([seed, 0, 0])
+    v = rng.standard_normal((q.n, rank))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(q.n)]
+    for (i, j), a in entries.items():
+        neighbors[i].append((j, a))
+        neighbors[j].append((i, a))
+    values = [value(v)]
+    for _ in range(cfg.max_sweeps):
+        for i in range(q.n):
+            if not neighbors[i]:
+                continue
+            s = np.zeros(rank)
+            for j, a in neighbors[i]:
+                s += a * v[j]
+            norm = float(np.linalg.norm(s))
+            if norm > 1e-300:
+                v[i] = s / norm
+        values.append(value(v))
+        if values[-1] - values[-2] <= cfg.tol * max(1.0, abs(values[-1])):
+            break
+    return values
 
 
 class TestSolveRelaxation:
     def test_aligned_pair(self):
-        q = QuadraticObjective(2, {(0, 1): 1.0})
+        q = pair_objective(1.0)
         g = solve_relaxation(q, SdpConfig(seed=1))
         assert relaxation_value(g, q) == pytest.approx(1.0, abs=1e-6)
         assert float(g.vectors[0] @ g.vectors[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_antipodal_pair(self):
-        q = QuadraticObjective(2, {(0, 1): -1.0})
+        q = pair_objective(-1.0)
         g = solve_relaxation(q, SdpConfig(seed=1))
         assert float(g.vectors[0] @ g.vectors[1]) == pytest.approx(-1.0, abs=1e-6)
 
     def test_random_n8_dominates_signs(self, rng):
-        q = random_objective(rng, 8)
+        q = random_objective(rng, 3, 5)
         g = solve_relaxation(q, SdpConfig(seed=5))
         assert relaxation_value(g, q) >= exhaustive_pm1_max(q) - 1e-6
 
     def test_unit_vectors(self, rng):
-        q = random_objective(rng, 10)
+        q = random_objective(rng, 4, 6)
         g = solve_relaxation(q, SdpConfig(seed=2))
         norms = np.linalg.norm(g.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
 
     def test_monotone_sweeps(self, rng):
-        q = random_objective(rng, 12)
+        q = random_objective(rng, 5, 7)
         g = solve_relaxation(q, SdpConfig(seed=3))
         vals = g.sweep_values
+        assert len(vals) > 2
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_zero_objective_flagged(self):
-        q = QuadraticObjective(3, {})
-        g = solve_relaxation(q, SdpConfig(seed=1))
-        assert g.degenerate
-        assert relaxation_value(g, q) == 0.0
+        for shape in ((1, 2), (0, 3), (0, 0)):
+            q = QuadraticObjective(np.zeros(shape))
+            g = solve_relaxation(q, SdpConfig(seed=1))
+            assert g.degenerate
+            assert g.vectors.shape[0] == q.n
+            assert relaxation_value(g, q) == 0.0
 
     def test_default_rank(self):
         assert default_rank(2) == 2
         assert default_rank(16) == math.ceil(math.sqrt(32)) + 1
 
     def test_dominance_sweep_n_le_20(self, rng):
-        for n in (6, 10, 14):
-            q = random_objective(rng, n)
-            g = solve_relaxation(q, SdpConfig(seed=n))
+        for sizes in ((2, 4), (4, 6), (5, 9)):
+            q = random_objective(rng, *sizes)
+            g = solve_relaxation(q, SdpConfig(seed=sum(sizes)))
             assert relaxation_value(g, q) >= exhaustive_pm1_max(q) - 1e-6
+
+    def test_negative_sweeps_rejected(self):
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            SdpConfig(max_sweeps=-3)
+
+    def test_zero_sweeps_keeps_random_start(self, rng):
+        g = solve_relaxation(random_objective(rng, 2, 3), SdpConfig(max_sweeps=0))
+        assert len(g.sweep_values) == 1
+
+
+class TestMatchesGaussSeidel:
+    """Updating a whole side at once is the per-vertex ascent, left then right."""
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 5), (6, 30), (9, 12)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_sweeps(self, rng, sizes, seed):
+        q = random_objective(rng, *sizes)
+        self.check(q, seed)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_row_and_column_keep_their_vectors(self, rng, seed):
+        a = random_objective(rng, 5, 8, density=0.7).a.copy()
+        a[2, :] = 0.0
+        a[:, 4] = 0.0
+        q = QuadraticObjective(a)
+        g = self.check(q, seed)
+        start = np.random.default_rng([seed, 0, 0]).standard_normal((q.n, g.rank))
+        for row in (2, q.n_left + 4):
+            assert np.allclose(g.vectors[row], start[row] / np.linalg.norm(start[row]), atol=1e-15)
+
+    def test_runs_to_max_sweeps(self, rng):
+        q = random_objective(rng, 6, 30)
+        self.check(q, 3, max_sweeps=5, tol=1e-300)
+
+    @staticmethod
+    def check(q, seed, **overrides):
+        cfg = SdpConfig(seed=seed, restarts=1, **overrides)
+        g = solve_relaxation(q, cfg)
+        reference = gauss_seidel_reference(q, g.rank, cfg, seed)
+        assert len(g.sweep_values) == len(reference)
+        assert np.allclose(g.sweep_values, reference, rtol=0, atol=1e-12)
+        return g
 
 
 class TestRelaxationValue:
     def test_identical_vectors(self):
         v = np.ones((2, 3)) / math.sqrt(3)
-        assert relaxation_value(GramFactor(3, v), QuadraticObjective(2, {(0, 1): 1.0})) == pytest.approx(1.0)
+        assert relaxation_value(GramFactor(3, v), pair_objective(1.0)) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
         v = np.eye(2)
-        assert relaxation_value(GramFactor(2, v), QuadraticObjective(2, {(0, 1): 1.0})) == 0.0
+        assert relaxation_value(GramFactor(2, v), pair_objective(1.0)) == 0.0
 
     def test_matches_dense_recompute(self, rng):
-        q = random_objective(rng, 9)
+        q = random_objective(rng, 4, 5)
         g = solve_relaxation(q, SdpConfig(seed=8))
         gram = g.vectors @ g.vectors.T
-        dense = sum(a * gram[i, j] for (i, j), a in q.entries.items())
+        dense = sum(a * gram[i, j] for (i, j), a in pairs(q).items())
         assert relaxation_value(g, q) == pytest.approx(dense, abs=1e-9)
 
     def test_dimension_mismatch(self):
         v = np.eye(3)
         with pytest.raises(ValidationError):
-            relaxation_value(GramFactor(3, v), QuadraticObjective(2, {(0, 1): 1.0}))
+            relaxation_value(GramFactor(3, v), pair_objective(1.0))
+
+
+class TestValue:
+    def test_matches_term_sum(self, rng):
+        q = random_objective(rng, 4, 7)
+        for _ in range(10):
+            x = [int(s) for s in rng.choice((-1, 1), size=q.n)]
+            terms = sum(a * x[i] * x[j] for (i, j), a in pairs(q).items())
+            assert q.value(x) == pytest.approx(terms, abs=1e-12)
 
 
 class TestCwRound:
     def test_aligned_recovers_optimum(self):
-        q = QuadraticObjective(2, {(0, 1): 1.0})
+        q = pair_objective(1.0)
         g = solve_relaxation(q, SdpConfig(seed=4))
         signs, achieved = cw_round(g, q, SdpConfig(seed=4))
         assert signs[0] == signs[1]
@@ -122,27 +209,32 @@ class TestCwRound:
         assert exhaustive_pm1_max(q) == 1.0
 
     def test_antipodal_recovers_optimum(self):
-        q = QuadraticObjective(2, {(0, 1): -1.0})
+        q = pair_objective(-1.0)
         g = solve_relaxation(q, SdpConfig(seed=4))
         signs, achieved = cw_round(g, q, SdpConfig(seed=4))
         assert signs[0] == -signs[1]
         assert achieved == exhaustive_pm1_max(q) == 1.0
 
     def test_zero_objective(self):
-        q = QuadraticObjective(2, {})
+        q = QuadraticObjective(np.zeros((1, 1)))
         g = solve_relaxation(q, SdpConfig(seed=1))
         _, achieved = cw_round(g, q, SdpConfig(seed=1))
         assert achieved == 0.0
 
+    def test_no_variables(self):
+        q = QuadraticObjective(np.zeros((0, 0)))
+        g = solve_relaxation(q, SdpConfig(seed=1))
+        assert cw_round(g, q, SdpConfig(seed=1)) == ([], 0.0)
+
     def test_achieved_matches_returned_signs(self, rng):
-        q = random_objective(rng, 10)
+        q = random_objective(rng, 4, 6)
         cfg = SdpConfig(seed=6)
         g = solve_relaxation(q, cfg)
         signs, achieved = cw_round(g, q, cfg)
         assert achieved == pytest.approx(q.value(signs), abs=1e-12)
 
     def test_bit_stable_determinism(self, rng):
-        q = random_objective(rng, 10)
+        q = random_objective(rng, 4, 6)
         cfg = SdpConfig(seed=123)
         g1 = solve_relaxation(q, cfg)
         g2 = solve_relaxation(q, cfg)
@@ -151,18 +243,37 @@ class TestCwRound:
         r2 = cw_round(g2, q, cfg)
         assert r1 == r2
 
+    def test_float_tie_keeps_earliest_candidate(self):
+        # x0 (x1 + 2 x2 - 3 x3) / 10. The left vector is e1 and the right
+        # vectors e2, so sign rounding gives x1 = x2 = x3 and every candidate
+        # is worth 0 in exact arithmetic. In float, x0 = x1 scores +5.6e-17
+        # and x0 = -x1 scores -5.6e-17.
+        q = QuadraticObjective(np.array([[0.1, 0.2, -0.3]]))
+        assert Fraction("0.1") + Fraction("0.2") - Fraction("0.3") == 0
+        assert q.value([1, 1, 1, 1]) > q.value([1, -1, -1, -1])
+        g = GramFactor(2, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))
+        sign_only = (0.0,)
+        # a seed whose first candidate is the one lower in float
+        seed, first = next(
+            (s, r)
+            for s in range(100)
+            if (r := cw_round(g, q, SdpConfig(seed=s, trials=1, t_grid=sign_only)))[1] < 0
+        )
+        # 25 trials draw both kinds of candidate; the first one is kept
+        assert cw_round(g, q, SdpConfig(seed=seed, trials=25, t_grid=sign_only)) == first
+
 
 class TestFromBilinearPoly:
     def test_single_pair_term(self):
         p = make_poly({mono((1, 1), (23, 1)): Fraction(1, 2)})
         order = variable_order(p)
         q = from_bilinear_poly(p, order)
-        assert q.n == 2
-        assert q.entries == {(0, 1): 0.5}
+        assert q.n == 2 and q.n_left == 1
+        assert q.a.tolist() == [[0.5]]
 
     def test_empty(self):
         q = from_bilinear_poly(make_poly({}), {})
-        assert q.n == 0 and q.entries == {}
+        assert q.n == 0 and q.a.shape == (0, 0)
 
     def test_round_trip_through_index_map(self):
         p = make_poly(
@@ -174,8 +285,29 @@ class TestFromBilinearPoly:
         )
         order = variable_order(p)
         q = from_bilinear_poly(p, order)
-        assert to_bilinear_poly(q, order) == p
+        assert (q.n_left, q.n) == (2, 4)
+        # entry by entry, back through the inverse map
+        inverse = {i: v for v, i in order.items()}
+        back = {mono(inverse[i], inverse[j]): Fraction(a) for (i, j), a in pairs(q).items()}
+        assert make_poly(back) == p
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValidationError):
             from_bilinear_poly(make_poly({mono((1, 1)): Fraction(1)}), {(1, 1): 0})
+
+    @pytest.mark.parametrize(
+        "monomials",
+        [
+            # a path 1 - 2 - 3: block 2's variable is on both sides
+            [((1, 1), (2, 1)), ((2, 1), (3, 1))],
+            # two variables mapped to one index
+            [((1, 1), (2, 1))],
+        ],
+    )
+    def test_rejects_non_bipartite(self, monomials):
+        p = make_poly({mono(*m): Fraction(1) for m in monomials})
+        order = variable_order(p)
+        if len(monomials) == 1:
+            order = {v: 0 for v in order}
+        with pytest.raises(ValidationError, match="left variables"):
+            from_bilinear_poly(p, order)
