@@ -302,7 +302,7 @@ def build_parser() -> Parser:
     _add_sdp_args(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("brute", help="exact optimum by enumeration (<= 26 vars)")
+    p = sub.add_parser("brute", help="exact optimum (the two smallest blocks <= 26 vars)")
     p.add_argument("file")
     p.add_argument("--report")
     p.set_defaults(func=cmd_brute)

@@ -201,51 +201,6 @@ def evaluate(inst: Instance, a: Assignment) -> float:
     return sat / inst.total_weight
 
 
-# -- vectorized evaluation over many assignments ------------------------------
-
-
-class CompiledInstance:
-    """Numpy view of an instance for evaluating many assignments at once.
-
-    Variables are numbered globally: block 1 first, then 2, then 3, each in
-    index order. Bit convention: 0 means +1, 1 means -1.
-    """
-
-    def __init__(self, inst: Instance):
-        self.sizes = inst.sizes
-        self.n = inst.n_vars
-        off = (0, inst.sizes[0], inst.sizes[0] + inst.sizes[1])
-        pos = np.empty((len(inst.constraints), 3), dtype=np.int64)
-        sbit = np.empty((len(inst.constraints), 3), dtype=np.uint8)
-        masks = np.empty(len(inst.constraints), dtype=np.int32)
-        weights = np.empty(len(inst.constraints), dtype=np.float64)
-        for i, c in enumerate(inst.constraints):
-            for j, lit in enumerate(c.lits):
-                pos[i, j] = off[lit.block - 1] + lit.index - 1
-                sbit[i, j] = 0 if lit.sign > 0 else 1
-            masks[i] = c.pred.mask
-            weights[i] = c.weight
-        self.pos = pos
-        self.sbit = sbit
-        self.masks = masks
-        self.weights = weights
-        self.total_weight = float(weights.sum())
-
-    def values_from_indices(self, idx: np.ndarray) -> np.ndarray:
-        """Evaluate assignments encoded as integers (bit v of idx = var v)."""
-        total = np.zeros(idx.shape[0], dtype=np.float64)
-        for i in range(self.pos.shape[0]):
-            code = (
-                ((idx >> int(self.pos[i, 0])) & 1).astype(np.int32) ^ int(self.sbit[i, 0])
-            ) << 2
-            code |= (
-                ((idx >> int(self.pos[i, 1])) & 1).astype(np.int32) ^ int(self.sbit[i, 1])
-            ) << 1
-            code |= ((idx >> int(self.pos[i, 2])) & 1).astype(np.int32) ^ int(self.sbit[i, 2])
-            total += ((int(self.masks[i]) >> code) & 1) * float(self.weights[i])
-        return total / self.total_weight
-
-
 def bits_to_assignment(bits: Sequence[int], sizes: tuple[int, int, int]) -> Assignment:
     vals = tuple(1 - 2 * int(b) for b in bits)
     m, n2, _ = sizes

@@ -34,7 +34,7 @@ from .instances import (
     generate_planted,
     generate_random,
 )
-from .oracle import BRUTE_FORCE_CAP, brute_force
+from .oracle import brute_force
 from .sdp import (
     QuadraticObjective,
     SdpConfig,
@@ -206,10 +206,6 @@ def two_round(
     opt = None
     cubic_at_opt = None
     if cfg.oracle:
-        if inst.n_vars > BRUTE_FORCE_CAP:
-            raise CapExceeded(
-                f"{inst.n_vars} variables exceed the oracle cap {BRUTE_FORCE_CAP}"
-            )
         res = brute_force(inst)
         opt = res.optimum
         cubic_at_opt = float(eval_poly_exact(cubic, res.assignment))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from xor3sdp import cli, sdp
+from xor3sdp import cli, instances, oracle, sdp
 
 FAST = ["--sweeps", "20", "--n-seeds", "1", "--trials", "3"]
 
@@ -72,8 +72,17 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
 
     def test_brute_over_cap(self, tmp_path, capsys):
-        path = gen(tmp_path, sizes=("9", "9", "9"), constraints="20")
+        # 28 variables in the two smallest blocks
+        path = gen(tmp_path, sizes=("14", "14", "14"), constraints="20")
         assert cli.main(["brute", path]) == cli.EXIT_VALIDATION
+
+    def test_brute_34_variables(self, tmp_path, capsys):
+        # 18 enumerated variables; the largest block is eliminated
+        path = tmp_path / "r.mx3"
+        instances.save(instances.generate_random((2, 16, 16), 60, 0), str(path))
+        assert cli.main(["brute", str(path)]) == cli.EXIT_OK
+        row = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1]
+        assert row["optimum"] == oracle.brute_force(instances.load(str(path))).optimum
 
     @pytest.mark.parametrize("command", ["solve", "brute"])
     def test_missing_file(self, tmp_path, command, capsys):

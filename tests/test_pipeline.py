@@ -1,17 +1,24 @@
-import numpy as np
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
 from xor3sdp import pipeline
 from xor3sdp.instances import (
-    CompiledInstance,
     Constraint,
     Instance,
     Predicate3,
     XOR_PLUS_MASK,
+    bits_to_assignment,
     evaluate,
 )
-from xor3sdp.pipeline import FamilySpec, PipelineConfig, gap_experiment, two_round
+from xor3sdp.pipeline import (
+    FamilySpec,
+    PipelineConfig,
+    build_instance,
+    gap_experiment,
+    two_round,
+)
 from xor3sdp.sdp import SdpConfig
 
 from conftest import instances_strategy, make_constraint, random_instance
@@ -24,8 +31,11 @@ def small_config(seed=0, oracle=False):
 
 
 def exhaustive_mean(inst: Instance) -> float:
-    comp = CompiledInstance(inst)
-    return float(comp.values_from_indices(np.arange(1 << inst.n_vars)).mean())
+    values = [
+        evaluate(inst, bits_to_assignment(bits, inst.sizes))
+        for bits in product((0, 1), repeat=inst.n_vars)
+    ]
+    return sum(values) / len(values)
 
 
 class TestTwoRound:
@@ -36,6 +46,15 @@ class TestTwoRound:
         assert report.final == pytest.approx(evaluate(inst, assignment), abs=1e-9)
         assert report.opt is not None
         assert report.final <= report.opt + 1e-9
+
+    def test_opt_is_final_on_composed(self):
+        # Label Cover (2,2,1,1,1) composed at noise 0.1: sizes (2,8,8), where
+        # the pipeline reaches the optimum; both are `evaluate` at an assignment
+        spec = FamilySpec(kind="composed", n_labels=2, mult=2, noise=0.1)
+        inst = build_instance(spec, 0, 0)
+        assert inst.sizes == (2, 8, 8)
+        _, report = two_round(inst, PipelineConfig(oracle=True, seed=1))
+        assert report.opt == report.final
 
     def test_same_seed_same_rows(self):
         spec = FamilySpec(kind="planted", count=3, sizes=(4, 4, 4), n_constraints=30)
