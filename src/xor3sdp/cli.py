@@ -67,12 +67,14 @@ def _emit_csv(rows: list[dict], path: str) -> None:
     cols = [
         "id", "n_vars", "n_cons", "baseline", "sdp1", "sdp2",
         "final", "opt", "margin", "consistency", "seed", "ms",
+        "sweeps1", "sweeps2", "converged", "per_seed_finals",
+        "f1_plus_frac", "cubic_at_opt", "degenerate_cubic",
     ]
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.DictWriter(f, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
         w.writeheader()
         for r in rows:
-            w.writerow(r)
+            w.writerow({**r, "per_seed_finals": ";".join(map(str, r["per_seed_finals"]))})
 
 
 def _fraction(text: str) -> Fraction:

@@ -84,11 +84,14 @@ def instance_objective(inst: Instance) -> MultilinearPoly:
     """
     total = sum(Fraction(c.weight) for c in inst.constraints)
     terms: dict[Monomial, Fraction] = {}
+    bases: dict[Predicate3, MultilinearPoly] = {}  # one expansion per predicate
     for c in inst.constraints:
         w = Fraction(c.weight) / total
         if w == 0:
             continue
-        base = predicate_fourier(c.pred)
+        base = bases.get(c.pred)
+        if base is None:
+            base = bases[c.pred] = predicate_fourier(c.pred)
         for m, coeff in base.terms.items():
             sign = 1
             vars_ = []

@@ -6,6 +6,12 @@ variable). Round 2 freezes the block-1 values from round 1, conditions the
 cubic slice on them, and optimizes the resulting quadratic over blocks 2
 and 3. Pairing-variable values from round 1 are discarded; how often they
 agreed with the final products is reported as a consistency diagnostic.
+
+Each of the `n_seeds` attempts is one seed's path through both rounds, and
+the best final value wins. The work runs round by round: round 1's ascent
+for every seed in one stack on the one round-1 matrix, then each seed's
+rounding and conditioning, then round 2's ascent in one stack per group of
+seeds whose conditioned programs share a shape, then each seed's rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .instances import (
 )
 from .oracle import brute_force
 from .sdp import (
-    QuadraticObjective,
+    GramFactor,
     SdpConfig,
     cw_round,
     from_bilinear_poly,
@@ -121,6 +127,11 @@ class PipelineReport:
     f1_plus_frac: float | None = None
     per_seed_finals: tuple[float, ...] = ()
     cubic_at_opt: float | None = None
+    # the winning seed's best-factor sweeps per round; converged is false
+    # when either of those factors ran to max_sweeps
+    sweeps1: int | None = None
+    sweeps2: int | None = None
+    converged: bool | None = None
 
     @property
     def margin(self) -> float:
@@ -140,6 +151,13 @@ class PipelineReport:
             "consistency": self.consistency,
             "seed": self.seed,
             "ms": self.ms,
+            "sweeps1": self.sweeps1,
+            "sweeps2": self.sweeps2,
+            "converged": self.converged,
+            "per_seed_finals": list(self.per_seed_finals),
+            "f1_plus_frac": self.f1_plus_frac,
+            "cubic_at_opt": self.cubic_at_opt,
+            "degenerate_cubic": self.degenerate_cubic,
         }
 
 
@@ -150,48 +168,81 @@ def _block_signs(
     return tuple(signs[order[(block, i)]] if (block, i) in order else 1 for i in range(1, size + 1))
 
 
-def _run_once(
+@dataclass(frozen=True)
+class _Attempt:
+    """One seed's path through both rounds."""
+
+    seed: int
+    assignment: Assignment
+    final: float
+    sdp1: float
+    sdp2: float
+    consistency: float | None
+    f1_plus: float
+    sweeps: tuple[int, int]
+    converged: bool
+
+
+def _attempts(
     inst: Instance,
     low: MultilinearPoly,
     cubic: MultilinearPoly,
     bp: BilinearizedProgram,
-    order: Mapping[Var, int],
-    q1: QuadraticObjective,
     cfg: PipelineConfig,
-    seed: int,
-) -> tuple[Assignment, float, float, float, float | None, float]:
-    sdp_cfg = replace(cfg.sdp, seed=seed)
-    g1 = solve_relaxation(q1, sdp_cfg)
-    sdp1 = relaxation_value(g1, q1)
-    signs1, _ = cw_round(g1, q1, sdp_cfg)
-    f1 = _block_signs(signs1, order, 1, inst.sizes[0])
-    cond = condition(cubic, dict(enumerate(f1, start=1)))
-    sdp_cfg2 = replace(cfg.sdp, seed=seed + 1)
-    order2 = variable_order(cond)
-    q2 = from_bilinear_poly(cond, order2)
-    g2 = solve_relaxation(q2, sdp_cfg2)
-    sdp2 = relaxation_value(g2, q2)
-    signs2, achieved2 = cw_round(g2, q2, sdp_cfg2)
-    f2 = _block_signs(signs2, order2, 2, inst.sizes[1])
-    f3 = _block_signs(signs2, order2, 3, inst.sizes[2])
-    assignment = Assignment(f1, f2, f3)
-    final = evaluate(inst, assignment)
-    # the cubic slice at the assignment is the conditioned quadratic at its
-    # blocks 2 and 3, so the full value is the degree<=2 part plus achieved2
-    expected = float(eval_poly_exact(low, assignment)) + achieved2
-    if abs(final - expected) > 1e-9:
-        raise AssertionError(
-            f"cross-check failed: final {final} != degree<=2 part + achieved = {expected}"
+) -> list[_Attempt]:
+    order = variable_order(bp.quad)
+    q1 = from_bilinear_poly(bp.quad, order)
+    seeds = [cfg.seed * 1000 + 2 * k for k in range(cfg.n_seeds)]
+    g1s = solve_relaxation([q1] * len(seeds), cfg.sdp, seeds)
+    signs1 = [cw_round(g1, q1, replace(cfg.sdp, seed=seed))[0] for g1, seed in zip(g1s, seeds)]
+    f1s = [_block_signs(signs, order, 1, inst.sizes[0]) for signs in signs1]
+    conds = [condition(cubic, dict(enumerate(f1, start=1))) for f1 in f1s]
+    orders2 = [variable_order(cond) for cond in conds]
+    q2s = [from_bilinear_poly(cond, order2) for cond, order2 in zip(conds, orders2)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, q2 in enumerate(q2s):
+        groups.setdefault(q2.a.shape, []).append(k)
+    g2s: dict[int, GramFactor] = {}
+    for members in groups.values():
+        solved = solve_relaxation([q2s[k] for k in members], cfg.sdp, [seeds[k] + 1 for k in members])
+        g2s.update(zip(members, solved))
+
+    attempts = []
+    for k, seed in enumerate(seeds):
+        g1, g2, q2, f1 = g1s[k], g2s[k], q2s[k], f1s[k]
+        signs2, achieved2 = cw_round(g2, q2, replace(cfg.sdp, seed=seed + 1))
+        f2 = _block_signs(signs2, orders2[k], 2, inst.sizes[1])
+        f3 = _block_signs(signs2, orders2[k], 3, inst.sizes[2])
+        assignment = Assignment(f1, f2, f3)
+        final = evaluate(inst, assignment)
+        # the cubic slice at the assignment is the conditioned quadratic at its
+        # blocks 2 and 3, so the full value is the degree<=2 part plus achieved2
+        expected = float(eval_poly_exact(low, assignment)) + achieved2
+        if abs(final - expected) > 1e-9:
+            raise AssertionError(
+                f"cross-check failed: final {final} != degree<=2 part + achieved = {expected}"
+            )
+        consistency = None
+        if bp.pair_vars:
+            agree = sum(
+                signs1[k][order[(PAIR_BLOCK, pair_idx)]] == f2[i2 - 1] * f3[i3 - 1]
+                for pair_idx, (i2, i3) in bp.pair_vars.items()
+            )
+            consistency = agree / len(bp.pair_vars)
+        attempts.append(
+            _Attempt(
+                seed,
+                assignment,
+                final,
+                relaxation_value(g1, q1),
+                relaxation_value(g2, q2),
+                consistency,
+                f1.count(1) / len(f1),
+                (g1.sweeps, g2.sweeps),
+                all(g.degenerate or g.sweeps < cfg.sdp.max_sweeps for g in (g1, g2)),
+            )
         )
-    consistency = None
-    if bp.pair_vars:
-        agree = sum(
-            signs1[order[(PAIR_BLOCK, pair_idx)]] == f2[i2 - 1] * f3[i3 - 1]
-            for pair_idx, (i2, i3) in bp.pair_vars.items()
-        )
-        consistency = agree / len(bp.pair_vars)
-    f1_plus = f1.count(1) / len(f1)
-    return assignment, final, sdp1, sdp2, consistency, f1_plus
+    return attempts
 
 
 def two_round(
@@ -231,38 +282,30 @@ def two_round(
         )
         return assignment, report
     low = MultilinearPoly({m: c for m, c in obj.terms.items() if len(m) < 3})
-    bp = bilinearize(cubic)
-    order = variable_order(bp.quad)
-    q1 = from_bilinear_poly(bp.quad, order)
-    best = None
-    finals = []
-    for k in range(cfg.n_seeds):
-        run_seed = cfg.seed * 1000 + 2 * k
-        result = _run_once(inst, low, cubic, bp, order, q1, cfg, run_seed)
-        finals.append(result[1])
-        if best is None or result[1] > best[0][1]:
-            best = (result, run_seed)
-    assert best is not None
-    (assignment, final, sdp1, sdp2, consistency, f1_plus), win_seed = best
-    if opt is not None and final > opt + 1e-9:
-        raise AssertionError(f"pipeline value {final} exceeds oracle optimum {opt}")
+    attempts = _attempts(inst, low, cubic, bilinearize(cubic), cfg)
+    best = max(attempts, key=lambda a: a.final)  # the first of equal finals
+    if opt is not None and best.final > opt + 1e-9:
+        raise AssertionError(f"pipeline value {best.final} exceeds oracle optimum {opt}")
     report = PipelineReport(
         instance_id,
         inst.n_vars,
         len(inst.constraints),
         baseline,
-        sdp1,
-        sdp2,
-        final,
+        best.sdp1,
+        best.sdp2,
+        best.final,
         opt,
-        consistency,
-        win_seed,
+        best.consistency,
+        best.seed,
         (time.perf_counter() - start) * 1000.0,
-        f1_plus_frac=f1_plus,
-        per_seed_finals=tuple(finals),
+        f1_plus_frac=best.f1_plus,
+        per_seed_finals=tuple(a.final for a in attempts),
         cubic_at_opt=cubic_at_opt,
+        sweeps1=best.sweeps[0],
+        sweeps2=best.sweeps[1],
+        converged=best.converged,
     )
-    return assignment, report
+    return best.assignment, report
 
 
 # -- experiment families ----------------------------------------------------------

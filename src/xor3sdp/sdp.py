@@ -7,10 +7,13 @@ sum A_ij <u_i, w_j> over unit vectors is solved by ascent on a low-rank
 factor: each sweep sets every left vector to its normalized row of A W, then
 every right vector to its normalized row of A^T U. No vector on a side enters
 another's update, so this is exact per-vertex coordinate ascent (the Mixing
-method of Wang, Chang and Kolter). Rounding projects the vectors onto a
-random Gaussian direction, truncates at a threshold T swept over a grid (T=0
-meaning pure sign rounding), and keeps the best sampled sign vector by exact
-objective value.
+method of Wang, Chang and Kolter). The ascents of several seeds and restarts
+are independent, so they run as one stack: each sweep is one batched product
+per side for every factor still sweeping, and each factor stops at its own
+sweep, so it ends exactly as it would alone. Rounding projects the vectors
+onto a random Gaussian direction, truncates at a threshold T swept over a
+grid (T=0 meaning pure sign rounding), and keeps the best sampled sign
+vector by exact objective value.
 """
 
 from __future__ import annotations
@@ -50,12 +53,20 @@ class QuadraticObjective:
         return self.a.shape[0] + self.a.shape[1]
 
     def value(self, signs: Sequence[int]) -> float:
-        return float(_form(self, np.asarray(signs, dtype=np.float64)))
+        return float(_form(self.a, np.asarray(signs, dtype=np.float64)))
 
 
-def _form(q: QuadraticObjective, x: np.ndarray) -> np.ndarray:
-    """The form at each row of x (shape (..., n)); a 1-D x gives a scalar."""
-    return ((x[..., : q.n_left] @ q.a) * x[..., q.n_left :]).sum(axis=-1)
+def _form(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The form of `a` (or of each matrix of a stack `a`) at each row of x,
+    shape (..., n); a 1-D x gives a scalar."""
+    n_left = a.shape[-2]
+    return ((x[..., :n_left] @ a) * x[..., n_left:]).sum(axis=-1)
+
+
+def _values(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The relaxation value of each factor of v, shape (..., n, rank): the
+    form at each coordinate's column of vector entries, summed."""
+    return _form(a, np.swapaxes(v, -1, -2)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,10 @@ class SdpConfig:
             raise ValidationError("trials must be >= 1")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if not self.t_grid:
+            raise ValidationError("t_grid must not be empty")
+        if not all(math.isfinite(t) and t >= 0 for t in self.t_grid):
+            raise ValidationError(f"t_grid values must be finite and >= 0, got {self.t_grid}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +103,10 @@ class GramFactor:
     degenerate: bool = False
     sweep_values: tuple[float, ...] = ()
 
+    @property
+    def sweeps(self) -> int:
+        return len(self.sweep_values) - 1
+
 
 def default_rank(n: int) -> int:
     return max(2, min(n, math.ceil(math.sqrt(2 * n)) + 1))
@@ -96,15 +115,15 @@ def default_rank(n: int) -> int:
 def relaxation_value(g: GramFactor, q: QuadraticObjective) -> float:
     if g.vectors.shape[0] != q.n:
         raise ValidationError(f"factor has {len(g.vectors)} vectors, objective has {q.n} variables")
-    return float(_form(q, g.vectors.T).sum())
+    return float(_values(q.a, g.vectors))
 
 
 def _set_side(side: np.ndarray, target: np.ndarray) -> None:
     """Set each row of `side` to its normalized target row, in place; a row
     whose target vanishes (a variable with no weight) keeps its vector."""
-    norms = np.linalg.norm(target, axis=1)
-    live = norms > 1e-300
-    side[live] = target[live] / norms[live, None]
+    # np.linalg.norm's arithmetic, so the same bits, without its per-call overhead
+    norms = np.sqrt((target * target).sum(axis=-1, keepdims=True))
+    np.divide(target, norms, out=side, where=norms > 1e-300)
 
 
 def _random_factor(n: int, rank: int, seed: int, run: int) -> np.ndarray:
@@ -113,39 +132,84 @@ def _random_factor(n: int, rank: int, seed: int, run: int) -> np.ndarray:
     return v
 
 
-def _ascend(q: QuadraticObjective, v: np.ndarray, cfg: SdpConfig) -> list[float]:
-    """Sweep `v` in place until the gain is within tol; the value after each sweep."""
-    rank = v.shape[1]
-    left, right = v[: q.n_left], v[q.n_left :]  # views into v
-    values = [relaxation_value(GramFactor(rank, v), q)]
+def _ascend(a: np.ndarray, v: np.ndarray, cfg: SdpConfig) -> list[list[float]]:
+    """Sweep every factor of the stack `v` (k, n, rank) in place until its own
+    gain is within tol; each factor's value before and after each sweep.
+
+    `a` is one (n_left, n_right) matrix that every factor shares, or a
+    (k, n_left, n_right) stack with one matrix per factor. The sweeps work on
+    a copy of the factors still sweeping; a factor is written back when it
+    stops and never touched again.
+    """
+    n_left = a.shape[-2]
+    live = np.arange(len(v))
+    work, work_a = v.copy(), a
+    last = _values(a, v)
+    values = [[x] for x in last.tolist()]
     for _ in range(cfg.max_sweeps):
-        _set_side(left, q.a @ right)
-        _set_side(right, q.a.T @ left)
-        val = relaxation_value(GramFactor(rank, v), q)
-        if not math.isfinite(val):
+        left, right = work[:, :n_left], work[:, n_left:]  # views into work
+        _set_side(left, work_a @ right)
+        _set_side(right, np.swapaxes(work_a, -1, -2) @ left)
+        val = _values(work_a, work)
+        if not np.isfinite(val).all():
             raise NumericalError("relaxation value is not finite")
-        if val < values[-1] - 1e-12:
-            raise NumericalError(f"ascent lost monotonicity: {values[-1]} -> {val}")
-        values.append(val)
-        if val - values[-2] <= cfg.tol * max(1.0, abs(val)):
-            break
+        lost = val < last - 1e-12
+        if lost.any():
+            f = int(np.argmax(lost))
+            raise NumericalError(f"ascent lost monotonicity: {last[f]} -> {val[f]}")
+        for f, x in zip(live.tolist(), val.tolist()):
+            values[f].append(x)
+        done = val - last <= cfg.tol * np.maximum(1.0, np.abs(val))
+        last = val
+        if done.any():
+            v[live[done]] = work[done]
+            keep = ~done
+            live, work, last = live[keep], work[keep], last[keep]
+            if a.ndim == 3:
+                work_a = work_a[keep]
+            if not len(live):
+                break
+    v[live] = work  # the factors that ran to max_sweeps
     return values
 
 
-def solve_relaxation(q: QuadraticObjective, cfg: SdpConfig) -> GramFactor:
-    """Best factor over `cfg.restarts` seeded ascent runs."""
-    rank = cfg.rank or default_rank(q.n)
-    if not q.a.any():
-        v = _random_factor(q.n, rank, cfg.seed, 0)
-        return GramFactor(rank, v, degenerate=True, sweep_values=(0.0,))
-    best: GramFactor | None = None
-    for run in range(cfg.restarts):
-        v = _random_factor(q.n, rank, cfg.seed, run)
-        values = _ascend(q, v, cfg)
-        if best is None or values[-1] > best.sweep_values[-1]:
-            best = GramFactor(rank, v, sweep_values=tuple(values))
-    assert best is not None
-    return best
+def solve_relaxation(
+    qs: Sequence[QuadraticObjective], cfg: SdpConfig, seeds: Sequence[int]
+) -> list[GramFactor]:
+    """For each objective and its seed, the best factor over `cfg.restarts`
+    ascent runs; ties go to the lowest run.
+
+    The objectives share one shape. All their runs ascend as one stack, each
+    until its own gain is within tol or it reaches `cfg.max_sweeps`; objectives
+    given as one object share one matrix. Run r of a seed starts from
+    `_random_factor(n, rank, seed, r)`. An all-zero objective gets its seed's
+    first start, flagged degenerate.
+    """
+    if len(qs) != len(seeds):
+        raise ValidationError(f"{len(qs)} objectives for {len(seeds)} seeds")
+    if len({q.a.shape for q in qs}) > 1:
+        raise ValidationError("objectives of one stack must share one shape")
+    n = qs[0].n if qs else 0
+    rank = cfg.rank or default_rank(n)
+    active = [k for k, q in enumerate(qs) if q.a.any()]
+    solved = {}
+    if active:
+        runs = cfg.restarts
+        if all(qs[k] is qs[active[0]] for k in active):
+            a = qs[active[0]].a
+        else:
+            a = np.stack([qs[k].a for k in active for _ in range(runs)])
+        v = np.stack([_random_factor(n, rank, seeds[k], r) for k in active for r in range(runs)])
+        values = _ascend(a, v, cfg)
+        for i, k in enumerate(active):
+            f = max(range(i * runs, (i + 1) * runs), key=lambda f: values[f][-1])
+            solved[k] = GramFactor(rank, v[f], sweep_values=tuple(values[f]))
+    return [
+        solved[k]
+        if k in solved
+        else GramFactor(rank, _random_factor(n, rank, seed, 0), degenerate=True, sweep_values=(0.0,))
+        for k, seed in enumerate(seeds)
+    ]
 
 
 def cw_round(
@@ -157,15 +221,16 @@ def cw_round(
     T=0 is the pure sign-of-projection candidate, so it is always sampled.
     Ties keep the earliest (trial, grid) candidate within 1e-12 of the best.
     """
-    candidates = []
+    t = np.asarray(cfg.t_grid, dtype=np.float64)[:, None]
+    u = np.empty((cfg.trials, 1, q.n))  # each trial's projections, against t's (len(t), 1)
+    draws = np.empty((cfg.trials, len(t), q.n))
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, 1, trial])
-        u = g.vectors @ rng.standard_normal(g.rank)
-        for t in cfg.t_grid:
-            y = np.where(u >= 0, 1.0, -1.0) if t == 0 else np.clip(u / t, -1.0, 1.0)
-            candidates.append(np.where(rng.random(q.n) < (1.0 + y) / 2.0, 1.0, -1.0))
-    x = np.array(candidates)
-    vals = _form(q, x)
+        u[trial, 0] = g.vectors @ rng.standard_normal(g.rank)
+        draws[trial] = rng.random((len(t), q.n))
+    y = np.where(t == 0, np.where(u >= 0, 1.0, -1.0), np.clip(u / np.where(t == 0, 1.0, t), -1.0, 1.0))
+    x = np.where(draws < (1.0 + y) / 2.0, 1.0, -1.0).reshape(cfg.trials * len(t), q.n)
+    vals = _form(q.a, x)
     best = int(np.argmax(vals >= vals.max() - 1e-12))
     return [int(s) for s in x[best]], float(vals[best])
 

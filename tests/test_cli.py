@@ -94,7 +94,7 @@ class TestExitCodes:
     def test_numerical_failure(self, tmp_path, monkeypatch, capsys):
         path = gen(tmp_path)
 
-        def fail(q, cfg):
+        def fail(qs, cfg, seeds):
             raise sdp.NumericalError("relaxation value is not finite")
 
         monkeypatch.setattr("xor3sdp.pipeline.solve_relaxation", fail)
@@ -122,6 +122,9 @@ class TestReport:
             columns = reader.fieldnames
             csv_rows = list(reader)
         assert len(rows) == len(csv_rows) == 2
-        for row in rows:
+        for row, csv_row in zip(rows, csv_rows):
             assert set(row) == set(columns)
+            assert csv_row["per_seed_finals"] == ";".join(map(str, row["per_seed_finals"]))
+            assert [float(x) for x in csv_row["per_seed_finals"].split(";")] == row["per_seed_finals"]
+            assert csv_row["converged"] == str(row["converged"])
         assert [r["id"] for r in csv_rows] == [r["id"] for r in rows]

@@ -11,6 +11,7 @@ from xor3sdp.instances import (
     XOR_PLUS_MASK,
     bits_to_assignment,
     evaluate,
+    generate_random,
 )
 from xor3sdp.pipeline import (
     FamilySpec,
@@ -19,7 +20,14 @@ from xor3sdp.pipeline import (
     gap_experiment,
     two_round,
 )
-from xor3sdp.sdp import SdpConfig
+from xor3sdp.fourier import degree_slice, instance_objective
+from xor3sdp.sdp import (
+    SdpConfig,
+    from_bilinear_poly,
+    relaxation_value,
+    solve_relaxation,
+    variable_order,
+)
 
 from conftest import instances_strategy, make_constraint, random_instance
 
@@ -89,6 +97,100 @@ class TestTwoRound:
         monkeypatch.setattr(pipeline, "cw_round", misreporting)
         with pytest.raises(AssertionError):
             two_round(inst, small_config())
+
+
+def without_ms(report):
+    return {k: v for k, v in report.to_row().items() if k != "ms"}
+
+
+class TestStackedSeeds:
+    """Stacking every seed's ascent changes no seed's result."""
+
+    def test_first_seed_alone(self):
+        inst = generate_random((6, 6, 6), 100, 3)
+        _, five = two_round(inst, PipelineConfig(seed=2))
+        _, one = two_round(inst, PipelineConfig(seed=2, n_seeds=1))
+        assert five.per_seed_finals[0] == one.final
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            generate_random((6, 6, 6), 100, 1),
+            # the seeds' conditioned programs have shapes (4,4) x4 and (3,4)
+            generate_random((3, 4, 4), 10, 2),
+        ],
+    )
+    def test_same_as_one_seed_at_a_time(self, inst, monkeypatch):
+        real = pipeline.solve_relaxation
+        calls = []
+
+        def recorded(qs, cfg, seeds):
+            calls.append(len(qs))
+            return real(qs, cfg, seeds)
+
+        def one_at_a_time(qs, cfg, seeds):
+            return [real([q], cfg, [seed])[0] for q, seed in zip(qs, seeds)]
+
+        cfg = PipelineConfig(seed=1)
+        monkeypatch.setattr(pipeline, "solve_relaxation", recorded)
+        stacked = two_round(inst, cfg)
+        monkeypatch.setattr(pipeline, "solve_relaxation", one_at_a_time)
+        alone = two_round(inst, cfg)
+        assert calls[0] == cfg.n_seeds and sum(calls[1:]) == cfg.n_seeds
+        if inst.sizes == (3, 4, 4):
+            assert len(calls) == 3  # round 2 splits into two shape groups
+        assert stacked[0] == alone[0]
+        assert without_ms(stacked[1]) == without_ms(alone[1])
+
+
+    def test_relaxation_values_reproduce(self):
+        # sdp1 and sdp2 are the winning seed's ascents, on seeds seed and seed + 1
+        inst = generate_random((4, 4, 4), 30, 7)
+        assignment, report = two_round(inst, PipelineConfig(seed=3))
+        cubic = degree_slice(instance_objective(inst), 3)
+        quad = pipeline.bilinearize(cubic).quad
+        cond = pipeline.condition(cubic, dict(enumerate(assignment.block1, start=1)))
+        for poly, seed, want in ((quad, report.seed, report.sdp1), (cond, report.seed + 1, report.sdp2)):
+            q = from_bilinear_poly(poly, variable_order(poly))
+            [g] = solve_relaxation([q], SdpConfig(), [seed])
+            assert relaxation_value(g, q) == want
+
+
+class TestReportFields:
+    def test_sweeps_and_convergence(self):
+        inst = generate_random((4, 4, 4), 30, 5)
+        _, report = two_round(inst, PipelineConfig(seed=1))
+        assert report.converged is True
+        assert 0 < report.sweeps1 < 200 and 0 < report.sweeps2 < 200
+        _, capped = two_round(inst, PipelineConfig(sdp=SdpConfig(max_sweeps=2), seed=1))
+        assert capped.converged is False
+        assert 2 in (capped.sweeps1, capped.sweeps2)
+        assert capped.sweeps1 <= 2 and capped.sweeps2 <= 2
+
+    def test_row_carries_diagnostics(self):
+        inst = generate_random((3, 3, 3), 12, 0)
+        _, report = two_round(inst, small_config(oracle=True))
+        row = report.to_row()
+        assert row["per_seed_finals"] == list(report.per_seed_finals)
+        assert len(row["per_seed_finals"]) == 2
+        assert row["final"] == max(row["per_seed_finals"])
+        assert 0.0 <= row["f1_plus_frac"] <= 1.0
+        assert row["cubic_at_opt"] == report.cubic_at_opt is not None
+        assert row["degenerate_cubic"] is False
+        assert (row["sweeps1"], row["sweeps2"], row["converged"]) == (
+            report.sweeps1,
+            report.sweeps2,
+            report.converged,
+        )
+
+    def test_degenerate_cubic_has_no_sweeps(self):
+        full = Predicate3(255)
+        inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, pred=full),))
+        _, report = two_round(inst, small_config())
+        row = report.to_row()
+        assert row["degenerate_cubic"] is True
+        assert row["sweeps1"] is row["sweeps2"] is row["converged"] is None
+        assert row["per_seed_finals"] == []
 
 
 class TestBaseline:
