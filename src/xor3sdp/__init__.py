@@ -17,9 +17,9 @@ from .instances import (
 from .fourier import (
     MultilinearPoly,
     degree_slice,
-    eval_poly,
     instance_objective,
     predicate_fourier,
+    walsh_terms,
 )
 from .distributions import (
     DisguiseSpec,
@@ -27,19 +27,16 @@ from .distributions import (
     check_pairwise_independent,
     disguise,
     ground,
-    sample,
     uniform_over,
 )
 from .gadget import (
     LabelCoverInstance,
     compose,
     dictator_assignment,
-    fold,
     make_label_cover,
-    row_distribution,
 )
 from .sdp import GramFactor, QuadraticObjective, SdpConfig, cw_round, solve_relaxation
 from .pipeline import FamilySpec, PipelineConfig, PipelineReport, gap_experiment, two_round
-from .oracle import OracleResult, brute_force, exhaustive_poly_check
+from .oracle import OracleResult, brute_force
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Every solve/brute/experiment run emits a JSON-lines report (stdout or
 --report FILE): first a {"config": ...} line echoing the full configuration
 including defaults, then one object per result row, then an {"aggregate":
 ...} line for experiments. Exit codes: 0 success, 1 usage error, 2
-cap/validation error, 3 internal numerical failure.
+cap/validation error, 3 internal numerical failure, 4 violated internal
+invariant (a cross-check of the pipeline's results failed).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_INVARIANT = 4
 
 
 class UsageError(Exception):
@@ -348,9 +350,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (sdp.NumericalError, AssertionError, FloatingPointError) as e:
+    except (sdp.NumericalError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except AssertionError as e:
+        print(f"invariant violated: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

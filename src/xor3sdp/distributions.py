@@ -1,11 +1,11 @@
 """Distributions over {+1,-1}^k: grounds, pairwise independence, disguises.
 
 Probabilities are exact Fractions throughout; verification with tol=0 is an
-exact check. Sampling takes an explicit numpy Generator so streams are
-caller-owned.
+exact check. `_cumulative` gives the float cumulative table that the
+gadget's sample mode draws from.
 
-Dump format: one `<tuple as +-+> <num>/<den>` line per positive-probability
-tuple.
+File format: one `<tuple as +-+> <probability>` line per tuple, the
+probability an integer, a decimal or `<num>/<den>`; `#` starts a comment.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class TupleDistribution:
         return sorted(self.probs.items(), key=lambda kv: plus_first_key(kv[0]))
 
 
-def from_weights(k: int, weights: dict[GTuple, Fraction]) -> TupleDistribution:
-    """Normalize nonnegative weights into a distribution (exact)."""
-    total = sum(weights.values(), Fraction(0))
-    if total <= 0:
-        raise ValidationError("total weight must be positive")
-    return TupleDistribution(k, {t: _as_fraction(w) / total for t, w in weights.items() if w})
-
-
 def ground(d: TupleDistribution) -> set[GTuple]:
     """Tuples with strictly positive probability."""
     return {t for t, p in d.probs.items() if p > 0}
@@ -81,11 +73,6 @@ def all_tuples(k: int) -> list[GTuple]:
     return list(itertools.product((1, -1), repeat=k))
 
 
-def tuples_with_ones(m: int, k: int = 3) -> list[GTuple]:
-    """All k-tuples with exactly m coordinates equal to +1."""
-    return [t for t in all_tuples(k) if sum(v == 1 for v in t) == m]
-
-
 def product_plus_triples() -> list[GTuple]:
     """The 4 triples with coordinate product +1 (3-XOR accepting set)."""
     return [t for t in all_tuples(3) if t[0] * t[1] * t[2] == 1]
@@ -101,15 +88,6 @@ def pair_prob_one(d: TupleDistribution, i: int, j: int) -> Fraction:
     return sum(
         (p for t, p in d.probs.items() if t[i - 1] == 1 and t[j - 1] == 1), Fraction(0)
     )
-
-
-def project(d: TupleDistribution, coords: Sequence[int]) -> TupleDistribution:
-    """Marginal distribution of the given 1-based coordinates, in order."""
-    out: dict[GTuple, Fraction] = {}
-    for t, p in d.probs.items():
-        key = tuple(t[i - 1] for i in coords)
-        out[key] = out.get(key, Fraction(0)) + p
-    return TupleDistribution(len(coords), out)
 
 
 @dataclass(frozen=True)
@@ -191,7 +169,7 @@ def disguise(spec: DisguiseSpec) -> TupleDistribution:
     return TupleDistribution(k, out)
 
 
-# -- sampling -------------------------------------------------------------------
+# -- sampling and parsing --------------------------------------------------------
 
 
 def _cumulative(d: TupleDistribution) -> tuple[list[GTuple], np.ndarray]:
@@ -200,29 +178,6 @@ def _cumulative(d: TupleDistribution) -> tuple[list[GTuple], np.ndarray]:
     cum = np.cumsum([float(p) for _, p in items])
     cum[-1] = 1.0
     return support, cum
-
-
-def sample(d: TupleDistribution, rng: np.random.Generator) -> GTuple:
-    support, cum = _cumulative(d)
-    return support[int(np.searchsorted(cum, rng.random(), side="right"))]
-
-
-def sample_many(d: TupleDistribution, n: int, rng: np.random.Generator) -> list[GTuple]:
-    support, cum = _cumulative(d)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return [support[i] for i in idx]
-
-
-# -- dump format ----------------------------------------------------------------
-
-
-def format_distribution(d: TupleDistribution) -> str:
-    lines = []
-    for t, p in d.items():
-        if p:
-            word = "".join("+" if v == 1 else "-" for v in t)
-            lines.append(f"{word} {p.numerator}/{p.denominator}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_distribution(text: str) -> TupleDistribution:

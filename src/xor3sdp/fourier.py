@@ -1,9 +1,12 @@
-"""Exact Walsh expansions of 3-ary predicates and instance objectives.
+"""Walsh expansions of 3-ary predicates and instance objectives.
 
-Polynomials are sparse multilinear maps {monomial -> Fraction}. A monomial
-is a sorted tuple of (block, index) variables; blocks 1..3 are instance
-blocks, other block ids may appear in derived programs (e.g. the pairing
-variables the pipeline introduces).
+Every monomial of an instance objective has at most one variable per block.
+`walsh_terms` holds the objective as float arrays, one index triple and one
+coefficient per monomial; the pipeline and the oracle read these. The exact
+form, `instance_objective`, is a sparse multilinear map {monomial ->
+Fraction}, where a monomial is a sorted tuple of (block, index) variables;
+it is the reference the arrays are tested against, and what the `fourier`
+command prints.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .instances import Assignment, Instance, Predicate3, ValidationError
+import numpy as np
+
+from .instances import Instance, Predicate3, ValidationError
 
 Var = tuple[int, int]
 Monomial = tuple[Var, ...]
@@ -104,32 +109,54 @@ def instance_objective(inst: Instance) -> MultilinearPoly:
     return make_poly(terms)
 
 
+# _CHARACTER[s, b]: the character of block subset s at the triple of tuple bit b
+# (see `tuple_bit`); a subset is coded as a tuple bit is, block 1 at bit 2
+_CHARACTER = np.array([[1 - 2 * (bin(s & b).count("1") & 1) for b in range(8)] for s in range(8)])
+# _PREDICATE_SUMS[mask, s]: 8 times the Walsh coefficient of subset s of predicate `mask`
+_PREDICATE_SUMS = ((np.arange(256)[:, None] >> np.arange(8)) & 1) @ _CHARACTER.T
+
+
+def walsh_terms(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The objective as arrays: `index` (m, 3) holds each monomial's block-1,
+    -2 and -3 indices, 0 where the block is absent, and `coeff` (m,) its
+    coefficient, one row per nonzero monomial, rows sorted by index.
+
+    A coefficient is summed in weight units and divided by 8W once, so it is
+    the exact coefficient of `instance_objective` up to float rounding. The
+    weights are first scaled by the power of two that brings W into [0.5, 1),
+    which is exact and keeps every sum clear of overflow and underflow at any
+    finite W.
+    """
+    cons = inst.constraints
+    # (index, sign bit) per literal, read without building Python lists
+    lits = np.fromiter(
+        (v for c in cons for lit in c.lits for v in (lit.index, lit.sign < 0)),
+        dtype=np.int64,
+        count=6 * len(cons),
+    ).reshape(-1, 3, 2)
+    # a literal's sign flips its bit of the triple (see `tuple_bit`)
+    flips = (lits[:, :, 1] << np.array([2, 1, 0])).sum(axis=1)
+    masks = np.array([c.pred.mask for c in cons])
+    _, scale = np.frexp(inst.total_weight)
+    # (constraints, 8): each constraint's weighted sum per subset, its signs absorbed
+    sums = np.ldexp([c.weight for c in cons], -scale)[:, None] * (
+        _PREDICATE_SUMS[masks] * _CHARACTER[:, flips].T
+    )
+    # each constraint's monomial per subset: its index in the subset's blocks, else 0
+    in_subset = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # (8, 3)
+    index = lits[:, None, :, 0] * in_subset  # (constraints, 8, 3)
+    shape = tuple(n + 1 for n in inst.sizes)
+    keys, where = np.unique(np.ravel_multi_index(index.reshape(-1, 3).T, shape), return_inverse=True)
+    total = np.bincount(where, weights=sums.ravel(), minlength=len(keys))
+    keep = total != 0
+    index = np.stack(np.unravel_index(keys[keep], shape), axis=1)
+    return index, total[keep] / (8 * np.ldexp(inst.total_weight, -scale))
+
+
 def degree_slice(p: MultilinearPoly, d: int) -> MultilinearPoly:
     if d < 0:
         raise ValidationError("degree must be >= 0")
     return MultilinearPoly({m: c for m, c in p.terms.items() if len(m) == d})
-
-
-def mixed_degree2_terms(p: MultilinearPoly) -> list[Monomial]:
-    """Degree-2 monomials, present only for degenerate (non-XOR) predicates."""
-    return sorted(m for m in p.terms if len(m) == 2)
-
-
-def eval_poly_exact(p: MultilinearPoly, a: Assignment) -> Fraction:
-    total = Fraction(0)
-    for m, coeff in p.terms.items():
-        prod = 1
-        for block, index in m:
-            if block not in (1, 2, 3) or index > a.sizes[block - 1]:
-                raise ValidationError(f"unbound variable ({block},{index})")
-            prod *= a.value(block, index)
-        total += coeff * prod
-    return total
-
-
-def eval_poly(p: MultilinearPoly, a: Assignment) -> float:
-    """Exact rational evaluation, surfaced as a float."""
-    return float(eval_poly_exact(p, a))
 
 
 def format_poly(p: MultilinearPoly) -> str:

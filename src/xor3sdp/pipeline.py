@@ -1,11 +1,14 @@
 """Two-round relaxation/rounding pipeline and the gap-experiment harness.
 
-Round 1 optimizes the pair-collapsed form of the objective's cubic slice
-(each product of a block-2 and a block-3 variable becomes one fresh pairing
-variable). Round 2 freezes the block-1 values from round 1, conditions the
-cubic slice on them, and optimizes the resulting quadratic over blocks 2
-and 3. Pairing-variable values from round 1 are discarded; how often they
-agreed with the final products is reported as a consistency diagnostic.
+The objective is read once, as the Walsh arrays of `fourier.walsh_terms`:
+one (i1, i2, i3) index triple per monomial, 0 marking an absent block, and
+one coefficient. Round 1 optimizes the cubic rows with each (i2, i3) pair
+collapsed to one variable: a matrix with a row per block-1 variable and a
+column per pair. Round 2 freezes the block-1 values from round 1, sums each
+pair's cubic coefficients times those values, and optimizes the resulting
+quadratic over blocks 2 and 3. Pair values from round 1 are discarded; how
+often they agreed with the final products is reported as a consistency
+diagnostic.
 
 Each of the `n_seeds` attempts is one seed's path through both rounds, and
 the best final value wins. The work runs round by round: round 1's ascent
@@ -18,18 +21,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Mapping
 
-from .fourier import (
-    MultilinearPoly,
-    Var,
-    degree_slice,
-    eval_poly_exact,
-    instance_objective,
-    make_poly,
-    mono,
-)
+import numpy as np
+
+from .fourier import walsh_terms
 from .gadget import compose, make_label_cover, uniform_xor_base
 from .instances import (
     Assignment,
@@ -43,59 +38,12 @@ from .instances import (
 from .oracle import brute_force
 from .sdp import (
     GramFactor,
+    QuadraticObjective,
     SdpConfig,
     cw_round,
-    from_bilinear_poly,
     relaxation_value,
     solve_relaxation,
-    variable_order,
 )
-
-PAIR_BLOCK = 23  # block id for pairing variables in derived programs
-
-
-@dataclass(frozen=True)
-class BilinearizedProgram:
-    quad: MultilinearPoly  # degree-2 poly over block 1 and PAIR_BLOCK
-    pair_vars: dict[int, tuple[int, int]]  # pairing index -> (i2, i3)
-
-
-def bilinearize(cubic: MultilinearPoly) -> BilinearizedProgram:
-    """Replace each block-2 x block-3 product with a single fresh variable,
-    preserving coefficients. Distinct (i2, i3) pairs get distinct variables."""
-    pairs: dict[tuple[int, int], int] = {}
-    for m in sorted(cubic.terms):
-        blocks = tuple(b for b, _ in m)
-        if len(m) != 3 or blocks != (1, 2, 3):
-            raise ValidationError(
-                f"monomial {m} is not a one-variable-per-block cubic term"
-            )
-        key = (m[1][1], m[2][1])
-        if key not in pairs:
-            pairs[key] = len(pairs)
-    terms = {}
-    for m, coeff in cubic.terms.items():
-        key = (m[1][1], m[2][1])
-        new_m = mono((1, m[0][1]), (PAIR_BLOCK, pairs[key] + 1))
-        terms[new_m] = terms.get(new_m, Fraction(0)) + coeff
-    return BilinearizedProgram(make_poly(terms), {i + 1: p for p, i in pairs.items()})
-
-
-def condition(cubic: MultilinearPoly, block1_values: Mapping[int, int]) -> MultilinearPoly:
-    """Substitute fixed block-1 values, leaving a quadratic over blocks 2, 3."""
-    terms: dict = {}
-    for m, coeff in cubic.terms.items():
-        blocks = tuple(b for b, _ in m)
-        if len(m) != 3 or blocks != (1, 2, 3):
-            raise ValidationError(
-                f"monomial {m} is not a one-variable-per-block cubic term"
-            )
-        i1 = m[0][1]
-        if i1 not in block1_values:
-            raise ValidationError(f"no block-1 value for index {i1}")
-        new_m = (m[1], m[2])
-        terms[new_m] = terms.get(new_m, Fraction(0)) + coeff * block1_values[i1]
-    return make_poly(terms)
 
 
 @dataclass(frozen=True)
@@ -161,11 +109,27 @@ class PipelineReport:
         }
 
 
-def _block_signs(
-    signs: list[int], order: Mapping[Var, int], block: int, size: int
-) -> tuple[int, ...]:
-    """One block's rounded signs; a variable the program lacks gets +1."""
-    return tuple(signs[order[(block, i)]] if (block, i) in order else 1 for i in range(1, size + 1))
+def _value_at(index: np.ndarray, coeff: np.ndarray, a: Assignment) -> float:
+    """The sum of the given Walsh rows at an assignment."""
+    x1, x2, x3 = (np.array((1,) + a.block(b)) for b in (1, 2, 3))  # index 0: block absent
+    return float(coeff @ (x1[index[:, 0]] * x2[index[:, 1]] * x3[index[:, 2]]))
+
+
+def _by_first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `keys` in order of first appearance, and the
+    position of each row of `keys` among them."""
+    distinct, first, where = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return distinct[order], position[where.ravel()]
+
+
+def _block(size: int, present: np.ndarray, signs) -> np.ndarray:
+    """One block's signs: the rounded ones at the present indices, +1 elsewhere."""
+    out = np.ones(size, dtype=np.int64)
+    out[present - 1] = signs
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,28 +141,38 @@ class _Attempt:
     final: float
     sdp1: float
     sdp2: float
-    consistency: float | None
+    consistency: float
     f1_plus: float
     sweeps: tuple[int, int]
     converged: bool
 
 
 def _attempts(
-    inst: Instance,
-    low: MultilinearPoly,
-    cubic: MultilinearPoly,
-    bp: BilinearizedProgram,
-    cfg: PipelineConfig,
+    inst: Instance, index: np.ndarray, coeff: np.ndarray, cfg: PipelineConfig
 ) -> list[_Attempt]:
-    order = variable_order(bp.quad)
-    q1 = from_bilinear_poly(bp.quad, order)
+    cubic = index.all(axis=1)
+    i1, c3 = index[cubic, 0], coeff[cubic]
+    # round 1: a row per block-1 variable, sorted, and a column per (i2, i3) pair
+    rows, row = np.unique(i1, return_inverse=True)
+    pairs, col = _by_first_appearance(index[cubic, 1:])
+    a1 = np.zeros((len(rows), len(pairs)))
+    a1[row, col] = c3
+    q1 = QuadraticObjective(a1)
     seeds = [cfg.seed * 1000 + 2 * k for k in range(cfg.n_seeds)]
     g1s = solve_relaxation([q1] * len(seeds), cfg.sdp, seeds)
-    signs1 = [cw_round(g1, q1, replace(cfg.sdp, seed=seed))[0] for g1, seed in zip(g1s, seeds)]
-    f1s = [_block_signs(signs, order, 1, inst.sizes[0]) for signs in signs1]
-    conds = [condition(cubic, dict(enumerate(f1, start=1))) for f1 in f1s]
-    orders2 = [variable_order(cond) for cond in conds]
-    q2s = [from_bilinear_poly(cond, order2) for cond, order2 in zip(conds, orders2)]
+    signs1 = [np.array(cw_round(g1, q1, replace(cfg.sdp, seed=seed))[0]) for g1, seed in zip(g1s, seeds)]
+    f1s = [_block(inst.sizes[0], rows, signs[: len(rows)]) for signs in signs1]
+    # round 2: block 2 against block 3, over the pairs whose conditioned entry is nonzero
+    q2s, sides = [], []
+    for f1 in f1s:
+        cond = np.bincount(col, weights=c3 * f1[i1 - 1], minlength=len(pairs))
+        live = cond != 0
+        left, li = np.unique(pairs[live, 0], return_inverse=True)
+        right, ri = np.unique(pairs[live, 1], return_inverse=True)
+        a2 = np.zeros((len(left), len(right)))
+        a2[li, ri] = cond[live]
+        q2s.append(QuadraticObjective(a2))
+        sides.append((left, right))
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, q2 in enumerate(q2s):
         groups.setdefault(q2.a.shape, []).append(k)
@@ -209,26 +183,20 @@ def _attempts(
 
     attempts = []
     for k, seed in enumerate(seeds):
-        g1, g2, q2, f1 = g1s[k], g2s[k], q2s[k], f1s[k]
+        g1, g2, q2, f1, (left, right) = g1s[k], g2s[k], q2s[k], f1s[k], sides[k]
         signs2, achieved2 = cw_round(g2, q2, replace(cfg.sdp, seed=seed + 1))
-        f2 = _block_signs(signs2, orders2[k], 2, inst.sizes[1])
-        f3 = _block_signs(signs2, orders2[k], 3, inst.sizes[2])
-        assignment = Assignment(f1, f2, f3)
+        f2 = _block(inst.sizes[1], left, signs2[: len(left)])
+        f3 = _block(inst.sizes[2], right, signs2[len(left) :])
+        assignment = Assignment(tuple(f1.tolist()), tuple(f2.tolist()), tuple(f3.tolist()))
         final = evaluate(inst, assignment)
-        # the cubic slice at the assignment is the conditioned quadratic at its
-        # blocks 2 and 3, so the full value is the degree<=2 part plus achieved2
-        expected = float(eval_poly_exact(low, assignment)) + achieved2
+        # the cubic rows at the assignment are the conditioned quadratic at its
+        # blocks 2 and 3, so the full value is the degree<=2 rows plus achieved2
+        expected = _value_at(index[~cubic], coeff[~cubic], assignment) + achieved2
         if abs(final - expected) > 1e-9:
             raise AssertionError(
                 f"cross-check failed: final {final} != degree<=2 part + achieved = {expected}"
             )
-        consistency = None
-        if bp.pair_vars:
-            agree = sum(
-                signs1[k][order[(PAIR_BLOCK, pair_idx)]] == f2[i2 - 1] * f3[i3 - 1]
-                for pair_idx, (i2, i3) in bp.pair_vars.items()
-            )
-            consistency = agree / len(bp.pair_vars)
+        products = f2[pairs[:, 0] - 1] * f3[pairs[:, 1] - 1]
         attempts.append(
             _Attempt(
                 seed,
@@ -236,8 +204,8 @@ def _attempts(
                 final,
                 relaxation_value(g1, q1),
                 relaxation_value(g2, q2),
-                consistency,
-                f1.count(1) / len(f1),
+                np.count_nonzero(signs1[k][len(rows) :] == products) / len(pairs),
+                np.count_nonzero(f1 == 1) / len(f1),
                 (g1.sweeps, g2.sweeps),
                 all(g.degenerate or g.sweeps < cfg.sdp.max_sweeps for g in (g1, g2)),
             )
@@ -250,17 +218,18 @@ def two_round(
 ) -> tuple[Assignment, PipelineReport]:
     """Run the two-round pipeline; value is reported on the full objective."""
     start = time.perf_counter()
-    obj = instance_objective(inst)
-    cubic = degree_slice(obj, 3)
-    # E[value] under a uniform assignment: every non-constant character averages to 0
-    baseline = float(obj.coeff(()))
+    index, coeff = walsh_terms(inst)
+    # E[value] under a uniform assignment: every non-constant character
+    # averages to 0, and the constant row, if any, is the first
+    baseline = float(coeff[0]) if len(coeff) and not index[0].any() else 0.0
+    cubic = index.all(axis=1)
     opt = None
     cubic_at_opt = None
     if cfg.oracle:
         res = brute_force(inst)
         opt = res.optimum
-        cubic_at_opt = float(eval_poly_exact(cubic, res.assignment))
-    if cubic.is_zero():
+        cubic_at_opt = _value_at(index[cubic], coeff[cubic], res.assignment)
+    if not cubic.any():
         assignment = Assignment(
             (1,) * inst.sizes[0], (1,) * inst.sizes[1], (1,) * inst.sizes[2]
         )
@@ -281,8 +250,7 @@ def two_round(
             cubic_at_opt=cubic_at_opt,
         )
         return assignment, report
-    low = MultilinearPoly({m: c for m, c in obj.terms.items() if len(m) < 3})
-    attempts = _attempts(inst, low, cubic, bilinearize(cubic), cfg)
+    attempts = _attempts(inst, index, coeff, cfg)
     best = max(attempts, key=lambda a: a.final)  # the first of equal finals
     if opt is not None and best.final > opt + 1e-9:
         raise AssertionError(f"pipeline value {best.final} exceeds oracle optimum {opt}")

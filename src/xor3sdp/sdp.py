@@ -1,7 +1,7 @@
 """Bipartite quadratic-program relaxation and Gaussian-projection rounding.
 
 Both programs the pipeline builds pair a left side with a right side (block 1
-with the pairing variables, then block 2 with block 3), so the form is
+with the (block 2, block 3) pairs, then block 2 with block 3), so the form is
 x_L^T A x_R for one (n_left, n_right) matrix A. The relaxation max of
 sum A_ij <u_i, w_j> over unit vectors is solved by ascent on a low-rank
 factor: each sweep sets every left vector to its normalized row of A W, then
@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fourier import MultilinearPoly, Var
 from .instances import ValidationError
 
 DEFAULT_T_GRID = (0.0, 0.5, 1.0, math.sqrt(2.0 * math.log(4.0)), 2.0)
@@ -234,30 +233,3 @@ def cw_round(
     best = int(np.argmax(vals >= vals.max() - 1e-12))
     return [int(s) for s in x[best]], float(vals[best])
 
-
-def from_bilinear_poly(
-    p: MultilinearPoly, var_index: Mapping[Var, int]
-) -> QuadraticObjective:
-    """Flatten a degree-2 polynomial through the given variable->index map.
-
-    Each monomial's lower index is a row and its higher index a column: the
-    left side ends at the highest lower index, and no higher index may be in it.
-    """
-    terms = []
-    for m, coeff in p.terms.items():
-        if len(m) != 2:
-            raise ValidationError(f"monomial {m} has degree {len(m)}, expected 2")
-        i, j = sorted(var_index[v] for v in m)
-        terms.append((m, i, j, float(coeff)))
-    n = (max(var_index.values()) + 1) if var_index else 0
-    n_left = max((i for _, i, _, _ in terms), default=-1) + 1
-    a = np.zeros((n_left, n - n_left))
-    for m, i, j, coeff in terms:
-        if j < n_left:
-            raise ValidationError(f"monomial {m} has both indices in the {n_left} left variables")
-        a[i, j - n_left] += coeff
-    return QuadraticObjective(a)
-
-
-def variable_order(p: MultilinearPoly) -> dict[Var, int]:
-    return {v: i for i, v in enumerate(sorted(p.variables()))}

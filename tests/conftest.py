@@ -1,13 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from xor3sdp.fourier import MultilinearPoly
 from xor3sdp.instances import (
     Assignment,
     Constraint,
     Instance,
     Literal,
     Predicate3,
+    ValidationError,
     XOR_PLUS,
 )
 
@@ -30,6 +34,19 @@ def random_instance(rng: np.random.Generator, sizes=(3, 3, 3), n_cons=12, any_pr
         pred = Predicate3(int(rng.integers(1, 256))) if any_pred else XOR_PLUS
         cons.append(Constraint(lits, float(rng.integers(1, 9)) / 4.0, pred))
     return Instance(sizes, tuple(cons))
+
+
+def eval_poly_exact(p: MultilinearPoly, a: Assignment) -> Fraction:
+    """A polynomial's exact value at an assignment."""
+    total = Fraction(0)
+    for m, coeff in p.terms.items():
+        prod = 1
+        for block, index in m:
+            if block not in (1, 2, 3) or index > a.sizes[block - 1]:
+                raise ValidationError(f"unbound variable ({block},{index})")
+            prod *= a.value(block, index)
+        total += coeff * prod
+    return total
 
 
 def random_assignment_for(sizes, rng: np.random.Generator) -> Assignment:

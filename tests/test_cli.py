@@ -101,6 +101,20 @@ class TestExitCodes:
         assert cli.main(["solve", path, "--seed", "1", *FAST]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_broken_invariant(self, tmp_path, monkeypatch, capsys):
+        # a rounding that misreports its value breaks the pipeline's cross-check
+        path = gen(tmp_path)
+        real = sdp.cw_round
+
+        def misreporting(g, q, cfg):
+            signs, achieved = real(g, q, cfg)
+            return signs, achieved + 0.25
+
+        monkeypatch.setattr("xor3sdp.pipeline.cw_round", misreporting)
+        assert cli.main(["solve", path, "--seed", "1", *FAST]) == cli.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "invariant violated" in err and "cross-check failed" in err
+
 
 class TestReport:
     def test_jsonl_schema_matches_csv(self, tmp_path, capsys):

@@ -7,20 +7,15 @@ from hypothesis import given, settings, strategies as st
 from xor3sdp.distributions import (
     DisguiseSpec,
     TupleDistribution,
+    _cumulative,
     all_tuples,
     check_pairwise_independent,
     disguise,
-    format_distribution,
-    from_weights,
     ground,
     marginal_prob_one,
     pair_prob_one,
     parse_distribution,
     product_plus_triples,
-    project,
-    sample,
-    sample_many,
-    tuples_with_ones,
     uniform_over,
 )
 from xor3sdp.instances import FormatError, ValidationError
@@ -30,6 +25,23 @@ HALF = Fraction(1, 2)
 
 def uniform_c():
     return uniform_over(product_plus_triples())
+
+
+def tuples_with_ones(m: int) -> list:
+    """All triples with exactly m coordinates equal to +1."""
+    return [t for t in all_tuples(3) if sum(v == 1 for v in t) == m]
+
+
+def normalized(weights: dict) -> TupleDistribution:
+    """The distribution proportional to nonnegative weights."""
+    total = sum(weights.values(), Fraction(0))
+    return TupleDistribution(3, {t: Fraction(w) / total for t, w in weights.items() if w})
+
+
+def sample_many(d: TupleDistribution, n: int, rng: np.random.Generator) -> list:
+    """n draws from d, as the gadget's sample mode draws from `_cumulative`."""
+    support, cum = _cumulative(d)
+    return [support[i] for i in np.searchsorted(cum, rng.random(n), side="right")]
 
 
 class TestGround:
@@ -51,10 +63,6 @@ class TestGround:
 
 
 class TestHelpers:
-    def test_tuples_with_ones(self):
-        assert tuples_with_ones(3) == [(1, 1, 1)]
-        assert sorted(tuples_with_ones(1)) == [(-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
-
     def test_uniform_shares(self):
         g1 = uniform_over(tuples_with_ones(1))
         assert all(p == Fraction(1, 3) for p in g1.probs.values())
@@ -68,11 +76,6 @@ class TestHelpers:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             TupleDistribution(1, {(1,): Fraction(1, 3)})
-
-    def test_project(self):
-        d = uniform_c()
-        pair = project(d, (1, 2))
-        assert pair.probs == {t: Fraction(1, 4) for t in all_tuples(2)}
 
 
 class TestPairwiseIndependence:
@@ -96,9 +99,7 @@ class TestPairwiseIndependence:
     @given(st.lists(st.integers(0, 8), min_size=8, max_size=8).filter(lambda w: sum(w) > 0))
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_marginals(self, weights):
-        d = from_weights(
-            3, {t: Fraction(w) for t, w in zip(all_tuples(3), weights)}
-        )
+        d = normalized(dict(zip(all_tuples(3), weights)))
         res = check_pairwise_independent(d, HALF, 0)
         # independent oracle: recompute every marginal from scratch
         singles = [
@@ -165,7 +166,7 @@ class TestSampling:
     def test_point_mass_always_same(self):
         d = uniform_over([(1, -1, 1)])
         rng = np.random.default_rng(0)
-        assert all(sample(d, rng) == (1, -1, 1) for _ in range(20))
+        assert all(x == (1, -1, 1) for x in sample_many(d, 20, rng))
 
     def test_uniform_c_frequencies(self):
         d = uniform_c()
@@ -186,15 +187,8 @@ class TestSampling:
 
     def test_total_variation_convergence(self):
         # TV <= 0.02 at 1e5 draws for supports <= 8, in >= 99% of seeds
-        d = from_weights(
-            3,
-            {
-                (1, 1, 1): Fraction(3),
-                (1, -1, -1): Fraction(1),
-                (-1, 1, -1): Fraction(2),
-                (-1, -1, 1): Fraction(1),
-                (-1, -1, -1): Fraction(1),
-            },
+        d = normalized(
+            {(1, 1, 1): 3, (1, -1, -1): 1, (-1, 1, -1): 2, (-1, -1, 1): 1, (-1, -1, -1): 1}
         )
         failures = 0
         for seed in range(50):
@@ -219,13 +213,9 @@ class TestSampling:
 
 
 class TestDumpFormat:
-    def test_format(self):
-        d = uniform_over(tuples_with_ones(1))
-        assert format_distribution(d) == "+-- 1/3\n-+- 1/3\n--+ 1/3\n"
-
     def test_round_trip(self):
-        d = from_weights(3, {(1, 1, 1): Fraction(5), (-1, -1, 1): Fraction(3)})
-        assert parse_distribution(format_distribution(d)) == d
+        d = normalized({(1, 1, 1): 5, (-1, -1, 1): 3})
+        assert parse_distribution("# weights 5 and 3\n+++ 5/8\n--+ 0.375\n") == d
 
     def test_parse_errors(self):
         with pytest.raises(FormatError):

@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xor3sdp.fourier import (
-    MultilinearPoly,
     degree_slice,
-    eval_poly,
-    eval_poly_exact,
     format_poly,
     instance_objective,
     make_poly,
-    mixed_degree2_terms,
     mono,
     predicate_fourier,
+    walsh_terms,
 )
 from xor3sdp.instances import (
     Assignment,
@@ -23,9 +20,10 @@ from xor3sdp.instances import (
     Predicate3,
     ValidationError,
     XOR_PLUS,
+    evaluate,
 )
 
-from conftest import instances_strategy, make_constraint
+from conftest import eval_poly_exact, instances_strategy, make_constraint
 
 HALF = Fraction(1, 2)
 CUBIC = mono((1, 1), (2, 1), (3, 1))
@@ -95,11 +93,9 @@ class TestInstanceObjective:
             ),
         )
         poly = instance_objective(inst)
-        from xor3sdp.instances import evaluate
-
         for bits in product((1, -1), repeat=6):
             a = Assignment(bits[:2], bits[2:4], bits[4:])
-            assert abs(evaluate(inst, a) - eval_poly(poly, a)) <= 1e-12
+            assert abs(evaluate(inst, a) - float(eval_poly_exact(poly, a))) <= 1e-12
 
     def test_like_terms_combine(self):
         inst = Instance(
@@ -140,16 +136,16 @@ class TestDegreeSlice:
 class TestEvalPoly:
     def test_all_plus(self):
         p = make_poly({(): HALF, CUBIC: HALF})
-        assert eval_poly(p, Assignment((1,), (1,), (1,))) == 1.0
+        assert eval_poly_exact(p, Assignment((1,), (1,), (1,))) == 1
 
     def test_odd_point(self):
         p = make_poly({(): HALF, CUBIC: HALF})
-        assert eval_poly(p, Assignment((1,), (1,), (-1,))) == 0.0
+        assert eval_poly_exact(p, Assignment((1,), (1,), (-1,))) == 0
 
     def test_unbound_variable(self):
         p = make_poly({mono((1, 2)): Fraction(1)})
         with pytest.raises(ValidationError, match="unbound"):
-            eval_poly(p, Assignment((1,), (1,), (1,)))
+            eval_poly_exact(p, Assignment((1,), (1,), (1,)))
 
     def test_random_poly_vs_direct_expansion(self, rng):
         vars6 = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
@@ -171,11 +167,93 @@ def test_mixed_degree2_flagging():
     p = predicate_fourier(pred)
     inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, pred=pred),))
     obj = instance_objective(inst)
-    if degree_slice(p, 2).terms:
-        assert mixed_degree2_terms(obj)
+    assert degree_slice(p, 2).terms
+    assert degree_slice(obj, 2).terms
 
 
 def test_format_poly_dump():
     p = make_poly({(): HALF, mono((1, 3), (2, 1)): Fraction(-1, 4)})
     dump = format_poly(p)
     assert dump == "1/2 : 1\n-1/4 : x1_3 x2_1\n"
+
+
+def exhaustive_poly_check(pred: Predicate3) -> bool:
+    """Does the Walsh expansion reproduce the 0/1 indicator at all 8 points?"""
+    poly = predicate_fourier(pred)
+    for t in product((1, -1), repeat=3):
+        a = Assignment((t[0],), (t[1],), (t[2],))
+        want = Fraction(1 if pred.accepts(t) else 0)
+        if eval_poly_exact(poly, a) != want:
+            return False
+    return True
+
+
+class TestExhaustivePolyCheck:
+    def test_xor_plus(self):
+        assert exhaustive_poly_check(Predicate3(105))
+        p = predicate_fourier(Predicate3(105))
+        assert p.terms[()] == Fraction(1, 2)
+
+    def test_all_256(self):
+        assert all(exhaustive_poly_check(Predicate3(m)) for m in range(256))
+
+    def test_corrupted_coefficient_detected(self):
+        pred = Predicate3(105)
+        p = predicate_fourier(pred)
+        corrupted = make_poly({m: c + Fraction(1, 8) for m, c in p.terms.items()})
+        bad = False
+        for t in product((1, -1), repeat=3):
+            a = Assignment((t[0],), (t[1],), (t[2],))
+            if eval_poly_exact(corrupted, a) != Fraction(1 if pred.accepts(t) else 0):
+                bad = True
+        assert bad
+
+
+def walsh_rows(inst):
+    """`walsh_terms` as {monomial: coefficient}, monomials as in `instance_objective`."""
+    index, coeff = walsh_terms(inst)
+    return {
+        tuple((b + 1, int(i)) for b, i in enumerate(row) if i): float(c)
+        for row, c in zip(index, coeff)
+    }
+
+
+class TestWalshTerms:
+    @given(instances_strategy(any_pred=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_objective(self, inst):
+        index, coeff = walsh_terms(inst)
+        assert index.shape == (len(coeff), 3)
+        keys = [tuple(row) for row in index.tolist()]
+        assert keys == sorted(set(keys))  # one row per monomial, sorted
+        rows = walsh_rows(inst)
+        exact = instance_objective(inst).terms
+        assert exact.keys() <= rows.keys()
+        for m, c in rows.items():
+            assert abs(c - float(exact.get(m, 0))) <= 1e-15
+
+    def test_arrays(self):
+        inst = Instance(
+            (2, 3, 1),
+            (
+                make_constraint(2, 3, 1, weight=3.0, signs=(1, -1, 1)),
+                make_constraint(1, 1, 1, weight=1.0),
+            ),
+        )
+        index, coeff = walsh_terms(inst)
+        assert index.tolist() == [[0, 0, 0], [1, 1, 1], [2, 3, 1]]
+        assert coeff.tolist() == [0.5, 0.125, -0.375]
+
+    def test_cancelled_monomial_has_no_row(self):
+        inst = Instance(
+            (1, 1, 1),
+            (make_constraint(1, 1, 1), make_constraint(1, 1, 1, signs=(-1, 1, 1))),
+        )
+        assert walsh_rows(inst) == {(): 0.5}
+
+    def test_zero_weight_constraint(self):
+        inst = Instance(
+            (2, 2, 2),
+            (make_constraint(1, 1, 1), make_constraint(2, 2, 2, weight=0.0, pred=Predicate3(7))),
+        )
+        assert walsh_rows(inst) == {(): 0.5, CUBIC: 0.5}

@@ -1,11 +1,7 @@
-from fractions import Fraction
-from itertools import product
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from xor3sdp.fourier import eval_poly_exact, make_poly, predicate_fourier
 from xor3sdp.instances import (
     Assignment,
     CapExceeded,
@@ -20,7 +16,8 @@ from xor3sdp.instances import (
 )
 from xor3sdp import oracle
 from xor3sdp.fourier import instance_objective
-from xor3sdp.oracle import brute_force, exhaustive_poly_check
+from xor3sdp.oracle import brute_force
+from xor3sdp.pipeline import FamilySpec, build_instance
 
 from conftest import instances_strategy, make_constraint, random_assignment_for, random_instance
 
@@ -72,6 +69,16 @@ class TestBruteForce:
         res = brute_force(inst)
         assert res.optimum == 0.5
         assert res.count == 8
+
+    @pytest.mark.parametrize("weight", [1e308, 3e307, 5e-324])
+    def test_extreme_weight(self, weight):
+        # the largest finite weights and the smallest positive one: no
+        # intermediate may overflow or underflow, or the coefficients turn
+        # nan or 0 and the negated literal is lost
+        inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, weight=weight, signs=(1, 1, -1)),))
+        res = brute_force(inst)
+        assert res.optimum == 1.0
+        assert res.count == 4
 
     def test_random_beats_baseline_mean(self):
         inst = generate_random((4, 4, 4), 24, seed=3)
@@ -149,12 +156,22 @@ class TestBruteForce:
         assert abs(brute_force(inst).optimum - brute_force(flipped).optimum) <= 1e-12
 
     def test_crosses_chunk_boundaries(self, rng):
-        # 2^14 states, 16384 // (30 constraints + 21 variables) = 321 per chunk
+        # 2^14 states, 2^14 // (8 * 8 kept-block products + 8 variables) = 227 per chunk
         inst = generate_random((7, 7, 7), 30, seed=5)
         res = brute_force(inst)
         assert evaluate(inst, res.assignment) == res.optimum
         for _ in range(1000):
             assert res.optimum >= evaluate(inst, random_assignment_for(inst.sizes, rng))
+
+    def test_composed_4_16_16(self):
+        # Label Cover (2,2,2,2,2) composed at noise 0.1: 4096 constraints, 20
+        # enumerated variables; the optimum is the dictator value 0.5 + 0.5 (1 - 0.1)^3
+        spec = FamilySpec(kind="composed", n_labels=2, mult=2, n_left=2, n_right=2, degree=2, noise=0.1)
+        inst = build_instance(spec, 0, 0)
+        assert inst.sizes == (4, 16, 16)
+        res = brute_force(inst)
+        assert abs(res.optimum - (0.5 + 0.5 * 0.9**3)) <= 1e-12
+        assert res.optimum == evaluate(inst, res.assignment)
 
     @pytest.mark.parametrize("any_pred", [False, True])
     def test_chunk_size_does_not_change_result(self, rng, monkeypatch, any_pred):
@@ -203,25 +220,3 @@ class TestMatchesFullEnumeration:
             wider = Instance(grown, inst.constraints)
             assert_matches_full_enumeration(wider)
             assert brute_force(wider).count == 2 * brute_force(inst).count
-
-
-class TestExhaustivePolyCheck:
-    def test_xor_plus(self):
-        assert exhaustive_poly_check(Predicate3(105))
-        p = predicate_fourier(Predicate3(105))
-        assert p.terms[()] == Fraction(1, 2)
-
-    def test_all_256(self):
-        assert all(exhaustive_poly_check(Predicate3(m)) for m in range(256))
-
-    def test_corrupted_coefficient_detected(self):
-        pred = Predicate3(105)
-        p = predicate_fourier(pred)
-        corrupted = make_poly({m: c + Fraction(1, 8) for m, c in p.terms.items()})
-        bad = False
-        for t in product((1, -1), repeat=3):
-            a = Assignment((t[0],), (t[1],), (t[2],))
-            if eval_poly_exact(corrupted, a) != Fraction(1 if pred.accepts(t) else 0):
-                bad = True
-        assert bad
-

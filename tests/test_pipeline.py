@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -20,14 +21,8 @@ from xor3sdp.pipeline import (
     gap_experiment,
     two_round,
 )
-from xor3sdp.fourier import degree_slice, instance_objective
-from xor3sdp.sdp import (
-    SdpConfig,
-    from_bilinear_poly,
-    relaxation_value,
-    solve_relaxation,
-    variable_order,
-)
+from xor3sdp.fourier import walsh_terms
+from xor3sdp.sdp import QuadraticObjective, SdpConfig, relaxation_value, solve_relaxation
 
 from conftest import instances_strategy, make_constraint, random_instance
 
@@ -63,6 +58,12 @@ class TestTwoRound:
         assert inst.sizes == (2, 8, 8)
         _, report = two_round(inst, PipelineConfig(oracle=True, seed=1))
         assert report.opt == report.final
+
+    @pytest.mark.parametrize("weight", [1e308, 3e307, 5e-324])
+    def test_extreme_weight(self, weight):
+        inst = Instance((1, 1, 1), (make_constraint(1, 1, 1, weight=weight, signs=(1, 1, -1)),))
+        assignment, report = two_round(inst, small_config(oracle=True))
+        assert report.opt == report.final == evaluate(inst, assignment) == 1.0
 
     def test_same_seed_same_rows(self):
         spec = FamilySpec(kind="planted", count=3, sizes=(4, 4, 4), n_constraints=30)
@@ -147,13 +148,74 @@ class TestStackedSeeds:
         # sdp1 and sdp2 are the winning seed's ascents, on seeds seed and seed + 1
         inst = generate_random((4, 4, 4), 30, 7)
         assignment, report = two_round(inst, PipelineConfig(seed=3))
-        cubic = degree_slice(instance_objective(inst), 3)
-        quad = pipeline.bilinearize(cubic).quad
-        cond = pipeline.condition(cubic, dict(enumerate(assignment.block1, start=1)))
-        for poly, seed, want in ((quad, report.seed, report.sdp1), (cond, report.seed + 1, report.sdp2)):
-            q = from_bilinear_poly(poly, variable_order(poly))
+        for q, seed, want in (
+            (round1_program(inst), report.seed, report.sdp1),
+            (round2_program(inst, assignment.block1), report.seed + 1, report.sdp2),
+        ):
             [g] = solve_relaxation([q], SdpConfig(), [seed])
             assert relaxation_value(g, q) == want
+
+
+def cubic_rows(inst):
+    index, coeff = walsh_terms(inst)
+    return [(tuple(row), c) for row, c in zip(index.tolist(), coeff.tolist()) if all(row)]
+
+
+def round1_program(inst):
+    """A row per block-1 variable, sorted; a column per (i2, i3) pair, in
+    order of first appearance."""
+    terms = cubic_rows(inst)
+    rows = sorted({i1 for (i1, _, _), _ in terms})
+    cols: dict = {}
+    for (_, i2, i3), _ in terms:
+        cols.setdefault((i2, i3), len(cols))
+    a = np.zeros((len(rows), len(cols)))
+    for (i1, i2, i3), c in terms:
+        a[rows.index(i1), cols[i2, i3]] = c
+    return QuadraticObjective(a)
+
+
+def round2_program(inst, block1):
+    """Block 2 against block 3, each pair's cubic coefficients summed with
+    block 1 fixed; only variables in a nonzero entry."""
+    cond: dict = {}
+    for (i1, i2, i3), c in cubic_rows(inst):
+        cond[i2, i3] = cond.get((i2, i3), 0.0) + c * block1[i1 - 1]
+    cond = {k: c for k, c in cond.items() if c != 0}
+    left = sorted({i2 for i2, _ in cond})
+    right = sorted({i3 for _, i3 in cond})
+    a = np.zeros((len(left), len(right)))
+    for (i2, i3), c in cond.items():
+        a[left.index(i2), right.index(i3)] = c
+    return QuadraticObjective(a)
+
+
+class TestGolden:
+    """Reports recorded before the pipeline read the Walsh arrays: the
+    pipeline seed 1, oracle on, instance 0 of each family at seed 0."""
+
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            (
+                FamilySpec(kind="planted", sizes=(6, 6, 6), n_constraints=100),
+                (0.9, 0.9, 1000, 0.9393939393939394, (0.9, 0.9, 0.9, 0.9, 0.9)),
+            ),
+            (
+                FamilySpec(kind="random", sizes=(6, 6, 6), n_constraints=100),
+                (0.71, 0.71, 1000, 0.7741935483870968, (0.71, 0.71, 0.68, 0.68, 0.71)),
+            ),
+            (
+                FamilySpec(kind="composed", n_labels=2, mult=2, noise=0.1),
+                (0.8644999999999992, 0.8644999999999992, 1000, 0.8333333333333334, (0.8644999999999992,) * 5),
+            ),
+        ],
+        ids=["planted", "random", "composed"],
+    )
+    def test_report(self, spec, want):
+        _, report = two_round(build_instance(spec, 0, 0), PipelineConfig(oracle=True, seed=1))
+        got = (report.final, report.opt, report.seed, report.consistency, report.per_seed_finals)
+        assert got == want
 
 
 class TestReportFields:

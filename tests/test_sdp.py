@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from xor3sdp import sdp
-from xor3sdp.fourier import make_poly, mono
 from xor3sdp.instances import ValidationError
 from xor3sdp.sdp import (
     DEFAULT_T_GRID,
@@ -17,10 +16,8 @@ from xor3sdp.sdp import (
     _ascend,
     cw_round,
     default_rank,
-    from_bilinear_poly,
     relaxation_value,
     solve_relaxation,
-    variable_order,
 )
 
 
@@ -500,51 +497,25 @@ class TestTGrid:
         assert SdpConfig(t_grid=t_grid).t_grid == t_grid
 
 
-class TestFromBilinearPoly:
+class TestFromArrays:
+    """Programs are built as the pipeline builds them: coefficients placed
+    in a matrix at (left index, right index) arrays."""
+
     def test_single_pair_term(self):
-        p = make_poly({mono((1, 1), (23, 1)): Fraction(1, 2)})
-        order = variable_order(p)
-        q = from_bilinear_poly(p, order)
+        q = QuadraticObjective(np.array([[0.5]]))
         assert q.n == 2 and q.n_left == 1
-        assert q.a.tolist() == [[0.5]]
+        assert (q.value([1, 1]), q.value([1, -1])) == (0.5, -0.5)
 
     def test_empty(self):
-        q = from_bilinear_poly(make_poly({}), {})
+        q = QuadraticObjective(np.zeros((0, 0)))
         assert q.n == 0 and q.a.shape == (0, 0)
 
     def test_round_trip_through_index_map(self):
-        p = make_poly(
-            {
-                mono((1, 1), (23, 1)): Fraction(1, 2),
-                mono((1, 2), (23, 1)): Fraction(-1, 4),
-                mono((1, 2), (23, 3)): Fraction(3, 8),
-            }
-        )
-        order = variable_order(p)
-        q = from_bilinear_poly(p, order)
-        assert (q.n_left, q.n) == (2, 4)
-        # entry by entry, back through the inverse map
-        inverse = {i: v for v, i in order.items()}
-        back = {mono(inverse[i], inverse[j]): Fraction(a) for (i, j), a in pairs(q).items()}
-        assert make_poly(back) == p
-
-    def test_rejects_wrong_degree(self):
-        with pytest.raises(ValidationError):
-            from_bilinear_poly(make_poly({mono((1, 1)): Fraction(1)}), {(1, 1): 0})
-
-    @pytest.mark.parametrize(
-        "monomials",
-        [
-            # a path 1 - 2 - 3: block 2's variable is on both sides
-            [((1, 1), (2, 1)), ((2, 1), (3, 1))],
-            # two variables mapped to one index
-            [((1, 1), (2, 1))],
-        ],
-    )
-    def test_rejects_non_bipartite(self, monomials):
-        p = make_poly({mono(*m): Fraction(1) for m in monomials})
-        order = variable_order(p)
-        if len(monomials) == 1:
-            order = {v: 0 for v in order}
-        with pytest.raises(ValidationError, match="left variables"):
-            from_bilinear_poly(p, order)
+        left, right = np.array([0, 1, 1]), np.array([0, 0, 2])
+        coeff = np.array([0.5, -0.25, 0.375])
+        a = np.zeros((2, 3))
+        a[left, right] = coeff
+        q = QuadraticObjective(a)
+        assert (q.n_left, q.n) == (2, 5)
+        # entry by entry, back through the index arrays
+        assert pairs(q) == {(i, 2 + j): c for i, j, c in zip(left, right, coeff)}
