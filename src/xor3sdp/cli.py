@@ -86,6 +86,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _sdp_config(args: argparse.Namespace) -> sdp.SdpConfig:
     return sdp.SdpConfig(
         rank=args.rank,
@@ -266,7 +272,7 @@ def build_parser() -> Parser:
     p.add_argument("--constraints", type=int, default=24)
     p.add_argument("--eps", type=float, default=0.0, help="corrupted fraction (planted)")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -282,7 +288,7 @@ def build_parser() -> Parser:
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--dist", help="base distribution file (default: uniform XOR base)")
     p.add_argument("--save-label-cover")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compose)
 
@@ -299,7 +305,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("solve", help="run the two-round pipeline on an instance")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--report")
     p.add_argument("--csv")
@@ -326,7 +332,7 @@ def build_parser() -> Parser:
     p.add_argument("--budget", type=int, default=4096)
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--report")
     p.add_argument("--csv")
     _add_sdp_args(p)

@@ -5,15 +5,15 @@ with the (block 2, block 3) pairs, then block 2 with block 3), so the form is
 x_L^T A x_R for one (n_left, n_right) matrix A. The relaxation max of
 sum A_ij <u_i, w_j> over unit vectors is solved by ascent on a low-rank
 factor: each sweep sets every left vector to its normalized row of A W, then
-every right vector to its normalized row of A^T U. No vector on a side enters
-another's update, so this is exact per-vertex coordinate ascent (the Mixing
-method of Wang, Chang and Kolter). The ascents of several seeds and restarts
-are independent, so they run as one stack: each sweep is one batched product
-per side for every factor still sweeping, and each factor stops at its own
-sweep, so it ends exactly as it would alone. Rounding projects the vectors
-onto a random Gaussian direction, truncates at a threshold T swept over a
-grid (T=0 meaning pure sign rounding), and keeps the best sampled sign
-vector by exact objective value.
+every right vector to its normalized row of A^T U, and the norms of those rows
+of A^T U sum to the new value. No vector on a side enters another's update, so
+this is exact per-vertex coordinate ascent (the Mixing method of Wang, Chang
+and Kolter). The ascents of several seeds and restarts are independent, so
+they run as one stack: each sweep is one batched product per side for every
+factor still sweeping, and each factor stops at its own sweep, so it ends
+exactly as it would alone. Rounding projects the vectors onto a random
+Gaussian direction, truncates at a threshold T swept over a grid (T=0 meaning
+pure sign rounding), and keeps the best sampled sign vector by exact value.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _values(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdpConfig:
-    rank: int | None = None  # default min(n, ceil(sqrt(2n)) + 1)
+    rank: int | None = None  # default max(2, min(n, ceil(sqrt(2n)) + 1))
     max_sweeps: int = 200
     tol: float = 1e-9
     t_grid: tuple[float, ...] = DEFAULT_T_GRID
@@ -100,7 +100,7 @@ class GramFactor:
     rank: int
     vectors: np.ndarray  # (n, rank), unit rows
     degenerate: bool = False
-    sweep_values: tuple[float, ...] = ()
+    sweep_values: tuple[float, ...] = ()  # the start's value, then each sweep's norm sum
 
     @property
     def sweeps(self) -> int:
@@ -117,12 +117,17 @@ def relaxation_value(g: GramFactor, q: QuadraticObjective) -> float:
     return float(_values(q.a, g.vectors))
 
 
-def _set_side(side: np.ndarray, target: np.ndarray) -> None:
-    """Set each row of `side` to its normalized target row, in place; a row
-    whose target vanishes (a variable with no weight) keeps its vector."""
+def _set_side(side: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Set each row of `side` to its normalized target row, in place; return the
+    target norms, 0 on a row that keeps its vector (no weight), NaN kept."""
     # np.linalg.norm's arithmetic, so the same bits, without its per-call overhead
     norms = np.sqrt((target * target).sum(axis=-1, keepdims=True))
-    np.divide(target, norms, out=side, where=norms > 1e-300)
+    live = norms > 1e-300
+    if live.all():  # the common case, and the unmasked divide is faster
+        np.divide(target, norms, out=side)
+        return norms[..., 0]
+    np.divide(target, norms, out=side, where=live)
+    return (norms * live)[..., 0]
 
 
 def _random_factor(n: int, rank: int, seed: int, run: int) -> np.ndarray:
@@ -137,46 +142,45 @@ def _ascend(a: np.ndarray, v: np.ndarray, cfg: SdpConfig) -> list[list[float]]:
 
     `a` is one (n_left, n_right) matrix that every factor shares, or a
     (k, n_left, n_right) stack with one matrix per factor. The sweeps work on
-    a copy of the factors still sweeping; a factor is written back when it
-    stops and never touched again.
+    a copy of each side of the factors still sweeping; a factor is written
+    back when it stops and never touched again.
     """
     n_left = a.shape[-2]
     live = np.arange(len(v))
-    work, work_a = v.copy(), a
-    last = _values(a, v)
-    values = [[x] for x in last.tolist()]
-    for _ in range(cfg.max_sweeps):
-        left, right = work[:, :n_left], work[:, n_left:]  # views into work
+    left, right, work_a = v[:, :n_left].copy(), v[:, n_left:].copy(), a
+    # a column of values per factor, NaN past its stop; doubled as it fills
+    log = np.full((1, len(v)), np.nan)
+    last = log[0] = _values(a, v)
+    for sweep in range(1, cfg.max_sweeps + 1):
+        if sweep == len(log):
+            log = np.vstack([log, np.full_like(log, np.nan)])
         _set_side(left, work_a @ right)
-        _set_side(right, np.swapaxes(work_a, -1, -2) @ left)
-        val = _values(work_a, work)
-        if not np.isfinite(val).all():
-            raise NumericalError("relaxation value is not finite")
-        lost = val < last - 1e-12
-        if lost.any():
-            f = int(np.argmax(lost))
+        # a^T as a view: a contiguous copy takes another BLAS kernel, other bits
+        val = _set_side(right, np.swapaxes(work_a, -1, -2) @ left).sum(axis=-1)
+        if not ((val >= last - 1e-12) & (val < np.inf)).all():
+            if not np.isfinite(val).all():
+                raise NumericalError("relaxation value is not finite")
+            f = int(np.argmax(val < last - 1e-12))
             raise NumericalError(f"ascent lost monotonicity: {last[f]} -> {val[f]}")
-        for f, x in zip(live.tolist(), val.tolist()):
-            values[f].append(x)
-        done = val - last <= cfg.tol * np.maximum(1.0, np.abs(val))
-        last = val
+        done = val - last <= cfg.tol * np.maximum(1.0, val)  # a sum of norms, so val >= 0
+        log[sweep, live] = last = val
         if done.any():
-            v[live[done]] = work[done]
+            v[live[done], :n_left], v[live[done], n_left:] = left[done], right[done]
             keep = ~done
-            live, work, last = live[keep], work[keep], last[keep]
+            live, left, right, last = live[keep], left[keep], right[keep], last[keep]
             if a.ndim == 3:
                 work_a = work_a[keep]
             if not len(live):
                 break
-    v[live] = work  # the factors that ran to max_sweeps
-    return values
+    v[live, :n_left], v[live, n_left:] = left, right  # the factors that ran to max_sweeps
+    return [col[~np.isnan(col)].tolist() for col in log.T]
 
 
 def solve_relaxation(
     qs: Sequence[QuadraticObjective], cfg: SdpConfig, seeds: Sequence[int]
 ) -> list[GramFactor]:
     """For each objective and its seed, the best factor over `cfg.restarts`
-    ascent runs; ties go to the lowest run.
+    ascent runs by exact relaxation value; ties go to the lowest run.
 
     The objectives share one shape. All their runs ascend as one stack, each
     until its own gain is within tol or it reaches `cfg.max_sweeps`; objectives
@@ -200,8 +204,8 @@ def solve_relaxation(
             a = np.stack([qs[k].a for k in active for _ in range(runs)])
         v = np.stack([_random_factor(n, rank, seeds[k], r) for k in active for r in range(runs)])
         values = _ascend(a, v, cfg)
-        for i, k in enumerate(active):
-            f = max(range(i * runs, (i + 1) * runs), key=lambda f: values[f][-1])
+        best = np.argmax(_values(a, v).reshape(-1, runs), axis=1) + np.arange(0, len(v), runs)
+        for k, f in zip(active, best.tolist()):
             solved[k] = GramFactor(rank, v[f], sweep_values=tuple(values[f]))
     return [
         solved[k]

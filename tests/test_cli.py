@@ -51,6 +51,20 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--family", "planted", "--out", "x.mx3"],
+            ["compose", "--out", "x.mx3"],
+            ["solve", "x.mx3"],
+            ["experiment", "--family", "planted"],
+        ],
+        ids=["gen", "compose", "solve", "experiment"],
+    )
+    def test_negative_seed_is_usage_error(self, args, capsys):
+        assert cli.main([*args, "--seed", "-1"]) == cli.EXIT_USAGE
+        assert "non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_negative_sweeps(self, tmp_path, command, capsys):
         args = ["--seed", "1", "--sweeps", "-3"]

@@ -12,6 +12,7 @@ from xor3sdp.instances import (
     XOR_PLUS_MASK,
     bits_to_assignment,
     evaluate,
+    generate_planted,
     generate_random,
 )
 from xor3sdp.pipeline import (
@@ -191,8 +192,7 @@ def round2_program(inst, block1):
 
 
 class TestGolden:
-    """Reports recorded before the pipeline read the Walsh arrays: the
-    pipeline seed 1, oracle on, instance 0 of each family at seed 0."""
+    """Reports pinned to values recorded from earlier versions of the pipeline."""
 
     @pytest.mark.parametrize(
         "spec,want",
@@ -213,9 +213,21 @@ class TestGolden:
         ids=["planted", "random", "composed"],
     )
     def test_report(self, spec, want):
+        """Recorded before the pipeline read the Walsh arrays: pipeline seed 1,
+        oracle on, instance 0 of each family at seed 0."""
         _, report = two_round(build_instance(spec, 0, 0), PipelineConfig(oracle=True, seed=1))
         got = (report.final, report.opt, report.seed, report.consistency, report.per_seed_finals)
         assert got == want
+
+    def test_round_one_at_a_blas_blocked_shape(self):
+        """Recorded before the ascent took each sweep's value from the right
+        side's norms. Round 1 is a 20 x 400 program here, large enough that
+        BLAS blocks its products, so the vectors, and sdp1 with them, depend on
+        the memory layout each product reads, not only on the arithmetic."""
+        inst, _ = generate_planted((20, 20, 20), 400, 0.1, 0)
+        _, report = two_round(inst, PipelineConfig(seed=1))
+        got = (report.final, report.seed, report.sdp1, report.sweeps1, report.sweeps2)
+        assert got == (0.9, 1006, 0.4495004123005922, 200, 8)
 
 
 class TestReportFields:

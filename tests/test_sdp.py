@@ -85,9 +85,11 @@ def gauss_seidel_reference(q: QuadraticObjective, rank: int, cfg: SdpConfig, see
 
 
 def set_side_reference(side, target):
+    """The target row norms, 0 on a row that keeps its vector."""
     norms = np.linalg.norm(target, axis=1)
     live = norms > 1e-300
     side[live] = target[live] / norms[live, None]
+    return np.where(live, norms, 0.0)
 
 
 def start_reference(n, rank, seed, run):
@@ -103,20 +105,23 @@ def value_reference(v, q: QuadraticObjective) -> float:
 
 
 def ascend_reference(q: QuadraticObjective, cfg: SdpConfig, seed: int, run: int):
-    """The one-factor ascent the stack replaces: (final vectors, sweep values)."""
+    """The one-factor ascent the stack replaces: (final vectors, sweep values,
+    exact values). A sweep's logged value is the sum of the right side's target
+    norms; the exact values are `value_reference` at the same vectors."""
     rank = cfg.rank or default_rank(q.n)
     v = start_reference(q.n, rank, seed, run)
     left, right = v[: q.n_left], v[q.n_left :]
     values = [value_reference(v, q)]
+    exact = values[:]
     for _ in range(cfg.max_sweeps):
         set_side_reference(left, q.a @ right)
-        set_side_reference(right, q.a.T @ left)
-        val = value_reference(v, q)
+        val = float(set_side_reference(right, q.a.T @ left).sum())
         assert math.isfinite(val) and val >= values[-1] - 1e-12
         values.append(val)
+        exact.append(value_reference(v, q))
         if val - values[-2] <= cfg.tol * max(1.0, abs(val)):
             break
-    return v, values
+    return v, values, exact
 
 
 def cw_round_reference(g: GramFactor, q: QuadraticObjective, cfg: SdpConfig):
@@ -243,7 +248,7 @@ class TestStackedAscent:
         for i, (q, s) in enumerate(zip(qs, seeds)):
             for r in runs:
                 f = i * cfg.restarts + r
-                want_v, want_values = ascend_reference(q, cfg, s, r)
+                want_v, want_values, _ = ascend_reference(q, cfg, s, r)
                 assert values[f] == want_values
                 assert np.array_equal(v[f], want_v)
                 sweeps.append(len(want_values) - 1)
@@ -255,6 +260,29 @@ class TestStackedAscent:
         _, sweeps = self.check_stack([q] * 5, SdpConfig(restarts=3), [10 * k for k in range(5)])
         if sizes != (1, 1):
             assert len(set(sweeps)) > 1  # factors stop at different sweeps
+
+    def test_blas_blocked_shape(self, rng):
+        # round 1's shape at planted (20, 20, 20)/400, where BLAS blocks the products
+        q = random_objective(rng, 20, 400)
+        self.check_stack([q] * 5, SdpConfig(restarts=3), [10 * k for k in range(5)])
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 5), (6, 30), (9, 12), (20, 400)])
+    @pytest.mark.parametrize("zero_row_and_column", [False, True])
+    def test_logged_value_is_exact_value(self, rng, sizes, zero_row_and_column):
+        # the log sums the right side's target norms; the exact value sums the form
+        a = random_objective(rng, *sizes).a.copy()
+        if zero_row_and_column:
+            a[-1, :] = 0.0
+            a[:, -1] = 0.0
+            a[0, 0] = 1.0
+        q, cfg = QuadraticObjective(a), SdpConfig(restarts=2)
+        v = np.stack([start_reference(q.n, default_rank(q.n), 4, r) for r in range(2)])
+        values = _ascend(q.a, v, cfg)
+        for r in range(2):
+            _, _, exact = ascend_reference(q, cfg, 4, r)
+            assert len(values[r]) == len(exact)
+            for x, e in zip(values[r], exact):
+                assert abs(x - e) <= 1e-12 * max(1.0, abs(e))
 
     @pytest.mark.parametrize("sizes", [(2, 5), (6, 30)])
     def test_one_matrix_per_factor(self, rng, sizes):
@@ -293,17 +321,18 @@ class TestStackedAscent:
         seeds = [7, 70, 700]
         for q, seed, g in zip(qs, seeds, solve_relaxation(qs, cfg, seeds)):
             runs = [ascend_reference(q, cfg, seed, r) for r in range(cfg.restarts)]
-            best = max(range(cfg.restarts), key=lambda r: runs[r][1][-1])
+            finals = [value_reference(v, q) for v, _, _ in runs]
+            best = max(range(cfg.restarts), key=lambda r: finals[r])
             assert g.sweep_values == tuple(runs[best][1])
             assert np.array_equal(g.vectors, runs[best][0])
-            assert relaxation_value(g, q) == g.sweep_values[-1]
+            assert relaxation_value(g, q) == finals[best]
             assert not g.degenerate
 
     def test_tie_goes_to_lowest_run(self):
         # seed 1: runs 0 and 2 both end at exactly 1.0000000000000002, run 1 at 1.0
         q = pair_objective(1.0)
         cfg = SdpConfig(restarts=3)
-        finals = [ascend_reference(q, cfg, 1, r)[1][-1] for r in range(3)]
+        finals = [value_reference(ascend_reference(q, cfg, 1, r)[0], q) for r in range(3)]
         assert finals[0] == finals[2] > finals[1]
         [g] = solve_relaxation([q], cfg, [1])
         assert np.array_equal(g.vectors, ascend_reference(q, cfg, 1, 0)[0])
@@ -332,9 +361,12 @@ class TestStackedAscent:
             solve_relaxation([q, q], SdpConfig(), [1, 2])
 
     def test_lost_monotonicity_raises(self, rng, monkeypatch):
-        # an update that turns each vector away from its target can only lower the value
+        # an update that turns each vector away from its target can only lower
+        # the value; each vector then adds minus its target's norm to it
         def away(side, target):
-            np.negative(target / np.linalg.norm(target, axis=-1, keepdims=True), out=side)
+            norms = np.linalg.norm(target, axis=-1, keepdims=True)
+            np.negative(target / norms, out=side)
+            return -norms[..., 0]
 
         monkeypatch.setattr(sdp, "_set_side", away)
         q = random_objective(rng, 4, 6, density=1.0)
